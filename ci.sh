@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI for the QTurbo reproduction workspace.
 #
-#   ./ci.sh          # lint + docs + tier-1 build/test + benchmarks
+#   ./ci.sh          # lint + docs + tier-1 build/test + benchmarks + pipebench self-tests
 #   ./ci.sh --quick  # skip the benchmarks (lint + docs + tier-1 only)
 #
 # The benchmarks write BENCH_propagation.json, BENCH_schedule.json,
@@ -93,6 +93,14 @@ if [[ "${1:-}" != "--quick" ]]; then
     # layout, and QTurbo's simulated observable error is no worse than the
     # baseline's (plus tolerance) wherever the baseline yields a solution.
     cargo run --release -p qturbo-bench --bin bench_e2e
+
+    echo "==> pipebench self-tests (compile -> lower -> emulate benchmark)"
+    # pipebench is a standalone package (its own workspace, path
+    # dependencies on the crates), so the workspace commands above never
+    # build it. Its self-tests call the public API the benchmark relies on
+    # and check the metric names and units it prints, so an API or metric
+    # change surfaces here rather than in a benchmark run.
+    cargo test --release --offline --manifest-path pipebench/Cargo.toml
 fi
 
 echo "==> CI OK"

@@ -180,15 +180,6 @@ impl Expr {
         }
         true
     }
-
-    /// Evaluates the expression with the given variable set to `value` and all
-    /// other variables provided by `lookup`.
-    pub fn eval_with_override<F>(&self, id: VariableId, value: f64, lookup: &F) -> f64
-    where
-        F: Fn(VariableId) -> f64,
-    {
-        self.eval(&|v: VariableId| if v == id { value } else { lookup(v) })
-    }
 }
 
 impl fmt::Display for Expr {
@@ -315,14 +306,6 @@ mod tests {
         // Quadratic is not linear.
         let quad = Expr::Pow(Box::new(Expr::var(ids[0])), 2);
         assert!(!quad.is_linear_homogeneous_in(ids[0]));
-    }
-
-    #[test]
-    fn override_evaluation() {
-        let (_reg, ids) = registry_with(1);
-        let expr = Expr::var(ids[0]).scaled(3.0);
-        let v = expr.eval_with_override(ids[0], 2.0, &|_| 100.0);
-        assert_eq!(v, 6.0);
     }
 
     #[test]

@@ -47,26 +47,6 @@ where
     jac
 }
 
-/// Computes the gradient of a scalar function by central finite differences.
-pub fn numerical_gradient<F>(f: &F, x: &Vector) -> Vector
-where
-    F: Fn(&[f64]) -> f64,
-{
-    let n = x.len();
-    let mut grad = Vector::zeros(n);
-    let mut xp = x.as_slice().to_vec();
-    let mut xm = x.as_slice().to_vec();
-    for j in 0..n {
-        let h = step_for(x[j]);
-        xp[j] = x[j] + h;
-        xm[j] = x[j] - h;
-        grad[j] = (f(&xp) - f(&xm)) / (2.0 * h);
-        xp[j] = x[j];
-        xm[j] = x[j];
-    }
-    grad
-}
-
 fn step_for(value: f64) -> f64 {
     let eps = f64::EPSILON.cbrt();
     eps * value.abs().max(1.0)
@@ -95,21 +75,5 @@ mod tests {
         let j = numerical_jacobian(&f, &Vector::from(vec![r]), 1);
         let expected = -6.0 * r.powi(-7);
         assert!((j[(0, 0)] - expected).abs() / expected.abs() < 1e-5);
-    }
-
-    #[test]
-    fn gradient_of_quadratic() {
-        let f = |x: &[f64]| x[0] * x[0] + 3.0 * x[1];
-        let g = numerical_gradient(&f, &Vector::from(vec![2.0, 0.0]));
-        assert!((g[0] - 4.0).abs() < 1e-6);
-        assert!((g[1] - 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn gradient_handles_trigonometric_terms() {
-        let f = |x: &[f64]| (x[0]).cos() * 2.0;
-        let g = numerical_gradient(&f, &Vector::from(vec![std::f64::consts::FRAC_PI_4]));
-        let expected = -2.0 * (std::f64::consts::FRAC_PI_4).sin();
-        assert!((g[0] - expected).abs() < 1e-6);
     }
 }

@@ -25,9 +25,10 @@
 //! ```
 //!
 //! — branch-free, no per-basis-state dispatch on `(qubit, Pauli)` pairs, and
-//! no heap allocation. [`CompiledHamiltonian`] caches the compiled term list
-//! so repeated applications inside a Taylor loop pay the compilation cost
-//! once, and writes each output index exactly once per term, which makes the
+//! no heap allocation. A [`CompiledSchedule`] caches the masks of every
+//! segment — a constant [`CompiledHamiltonian`] is its one-segment case — so
+//! repeated applications inside a Taylor loop pay the compilation cost once.
+//! The [`FusedKernel`] writes each output index exactly once, which makes the
 //! amplitude loop trivially parallel: execution is delegated to the
 //! [`crate::exec`] layer, which splits the output into contiguous
 //! lane-aligned chunks handled by the persistent worker pool above the
@@ -45,6 +46,7 @@
 //! pinned against.
 
 use crate::exec::{self, ExecutionContext, F64x4, F64x8, KernelPath, LANE_WIDTH};
+use crate::schedule::{CompiledSchedule, DiagTableScratch};
 use crate::state::{RealizationBlock, StateVector};
 use crate::stepper::SpectralBound;
 use crate::telemetry::{CompileSpan, CompileTiming};
@@ -152,31 +154,30 @@ impl CompiledTerm {
     }
 }
 
-/// Diagonal terms are folded into a precomputed per-basis-state table when
-/// there are at least this many of them (a single diagonal term is just as
-/// fast through the generic gather path, and the table costs `2ⁿ` doubles).
-pub(crate) const DIAG_TABLE_MIN_TERMS: usize = 2;
-/// No diagonal table above this qubit count (memory guard: the table is
-/// `2ⁿ · 8` bytes).
-pub(crate) const DIAG_TABLE_MAX_QUBITS: usize = 24;
-
-/// A Hamiltonian pre-compiled into mask-form terms, cached for repeated
-/// application inside the propagation loop.
+/// A constant Hamiltonian pre-compiled for repeated application inside the
+/// propagation loop: a one-segment [`CompiledSchedule`] whose segment is
+/// readied once, at compile time.
 ///
-/// Compilation splits the terms into two groups:
+/// The schedule's layout splits the terms into three classes:
 ///
 /// * **diagonal** terms (`x_mask == 0`: products of `Z`s and the identity)
-///   are summed into one real-valued table `diag[b] = Σ_t c_t·(−1)^parity`,
-///   collapsing any number of `Z`/`ZZ` terms into a single sequential
-///   multiply stream — the dominant term population of Ising-type models;
-/// * **off-diagonal** terms keep their `(x_mask, z_mask, weight)` triples and
-///   are evaluated as gathers.
+///   are summed into one real-valued table `diag[b] = Σ_t c_t·(−1)^parity`
+///   when there are at least two of them, collapsing any number of `Z`/`ZZ`
+///   terms into a single sequential multiply stream — the dominant term
+///   population of Ising-type models (a lone diagonal term, or a register
+///   above 24 qubits, is evaluated on the fly instead);
+/// * **pure flips** (`z_mask == 0`: products of `X`s) are bare gathers;
+/// * every other term keeps its `(x_mask, z_mask, i^{y_count})` triple and
+///   is evaluated as a signed gather.
 ///
-/// [`apply_into`](CompiledHamiltonian::apply_into) then makes exactly **one
-/// write pass** over the output: each amplitude is assembled from the
-/// diagonal table plus one gather per off-diagonal term, and the squared
-/// norm of the result is accumulated for free along the way (the Taylor
-/// loop's convergence check needs it anyway).
+/// The table and its exact range — which tightens the
+/// [`spectral_bound`](CompiledHamiltonian::spectral_bound) — come from the
+/// same segment-preparation code the schedule evolve loop runs, so a
+/// constant `H` and a one-segment schedule are one and the same thing to the
+/// steppers. [`apply_into`](CompiledHamiltonian::apply_into) then makes
+/// exactly **one write pass** over the output, accumulating the squared norm
+/// of the result for free along the way (the Taylor loop's convergence check
+/// needs it anyway).
 ///
 /// # Example
 ///
@@ -193,24 +194,16 @@ pub(crate) const DIAG_TABLE_MAX_QUBITS: usize = 24;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledHamiltonian {
-    num_qubits: usize,
-    terms: Vec<CompiledTerm>,
-    /// Pure bit-flip terms (`z_mask == 0`, real weight — plain `X`
-    /// products): the cheapest class, no sign computation at all. Stored
-    /// columnar (masks and weights in separate parallel arrays) so the
-    /// kernel layout matches the shared-layout schedule path.
-    flip_masks: Vec<usize>,
-    flip_weights: Vec<f64>,
-    /// Remaining off-diagonal terms, evaluated through the generic gather
-    /// path (plus diagonal terms when the table was not built).
-    gather_terms: Vec<CompiledTerm>,
-    /// Folded diagonal contribution, indexed by `basis & (len − 1)`; empty
-    /// when no table was built.
+    /// The Hamiltonian as segment 0. Its duration is a placeholder: every
+    /// evolve call supplies its own time.
+    schedule: CompiledSchedule,
+    /// Segment 0's diagonal table; empty when the diagonal terms are
+    /// evaluated on the fly.
     diag_table: Vec<f64>,
     bound: SpectralBound,
-    /// Compile wall time, for telemetry. Always-equal `PartialEq` (see
-    /// [`CompileTiming`]) so structural equality of compiled Hamiltonians
-    /// is unaffected.
+    /// Compile wall time including the table fill, for telemetry.
+    /// Always-equal `PartialEq` (see [`CompileTiming`]) so structural
+    /// equality of compiled Hamiltonians is unaffected.
     timing: CompileTiming,
 }
 
@@ -225,64 +218,13 @@ impl CompiledHamiltonian {
     /// backend selection) on detuning-dominated models.
     pub fn compile(hamiltonian: &Hamiltonian) -> Self {
         let started = std::time::Instant::now();
-        let num_qubits = hamiltonian.num_qubits();
-        let terms: Vec<CompiledTerm> = hamiltonian
-            .terms()
-            .map(|(coefficient, string)| CompiledTerm::compile(coefficient, string))
-            .collect();
-
-        let diagonal_count = terms.iter().filter(|t| t.x_mask == 0).count();
-        let build_table =
-            diagonal_count >= DIAG_TABLE_MIN_TERMS && num_qubits <= DIAG_TABLE_MAX_QUBITS;
-        let mut flip_masks = Vec::new();
-        let mut flip_weights = Vec::new();
-        let mut gather_terms = Vec::new();
-        let mut diag_table = Vec::new();
-        if build_table {
-            diag_table = vec![0.0f64; 1 << num_qubits];
-        }
-        let mut offdiag_radius = 0.0;
-        for term in &terms {
-            if term.x_mask == 0 && build_table {
-                // x_mask == 0 implies no Y factors, so the weight is real.
-                let coefficient = term.weight.re;
-                for (basis, slot) in diag_table.iter_mut().enumerate() {
-                    *slot += coefficient * term.sign(basis);
-                }
-            } else if term.x_mask != 0 && term.z_mask == 0 && term.weight.im == 0.0 {
-                offdiag_radius += term.weight.re.abs();
-                flip_masks.push(term.x_mask);
-                flip_weights.push(term.weight.re);
-            } else {
-                if term.x_mask != 0 {
-                    offdiag_radius += term.weight.abs();
-                }
-                gather_terms.push(*term);
-            }
-        }
-
-        let mut bound = SpectralBound::from_compiled_terms(
-            terms.iter().map(|t| (t.x_mask, t.z_mask, t.weight)),
-            hamiltonian.coefficient_l1_norm() + hamiltonian.max_abs_coefficient(),
-        );
-        if build_table {
-            // The table holds the complete diagonal part (including the
-            // identity shift), so its extrema give the exact diagonal
-            // spectrum — one fold over the table the fill just produced.
-            let (diag_min, diag_max) = diag_table
-                .iter()
-                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
-                    (lo.min(v), hi.max(v))
-                });
-            bound = bound.with_exact_diagonal(diag_min, diag_max, offdiag_radius);
-        }
+        let schedule = CompiledSchedule::try_compile_segments([(hamiltonian, 0.0)])
+            .unwrap_or_else(|error| panic!("{error}"));
+        let mut scratch = DiagTableScratch::new();
+        let (_, bound) = schedule.prepare_segment(0, &mut scratch);
         CompiledHamiltonian {
-            num_qubits,
-            terms,
-            flip_masks,
-            flip_weights,
-            gather_terms,
-            diag_table,
+            schedule,
+            diag_table: scratch.table,
             bound,
             timing: CompileTiming {
                 wall_ns: started.elapsed().as_nanos() as u64,
@@ -307,22 +249,17 @@ impl CompiledHamiltonian {
 
     /// Number of qubits of the source Hamiltonian.
     pub fn num_qubits(&self) -> usize {
-        self.num_qubits
+        self.schedule.num_qubits()
     }
 
     /// Number of compiled terms.
     pub fn num_terms(&self) -> usize {
-        self.terms.len()
+        self.schedule.segment_weight_row(0).len()
     }
 
     /// Returns `true` when there are no terms.
     pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
-    }
-
-    /// The compiled terms.
-    pub fn terms(&self) -> &[CompiledTerm] {
-        &self.terms
+        self.num_terms() == 0
     }
 
     /// Strength used to size Taylor steps (`‖c‖₁ + max|c|`, matching the
@@ -337,19 +274,10 @@ impl CompiledHamiltonian {
         self.bound
     }
 
-    /// Borrowed kernel view over the classified term arrays, shared with the
-    /// schedule path (see [`crate::schedule::CompiledSchedule`]).
+    /// The segment's kernel view: masks borrowed from the schedule layout,
+    /// weights from its weight row, and the precomputed diagonal table.
     pub fn kernel(&self) -> FusedKernel<'_> {
-        FusedKernel {
-            num_qubits: self.num_qubits,
-            diag_table: &self.diag_table,
-            diag_masks: &[],
-            diag_weights: &[],
-            flip_masks: &self.flip_masks,
-            flip_weights: &self.flip_weights,
-            gather_terms: &self.gather_terms,
-            gather_weights: &[],
-        }
+        self.schedule.segment_kernel(0, &self.diag_table)
     }
 
     /// Computes `out = H|ψ⟩` in place and returns `‖H|ψ⟩‖`. `out` is fully
@@ -363,26 +291,6 @@ impl CompiledHamiltonian {
         self.kernel().apply_into(input, out)
     }
 
-    /// Fused Taylor iteration: computes `out = H|ψ⟩`, accumulates
-    /// `target += factor · out` in the same write pass, and returns `‖out‖`.
-    /// One memory sweep instead of the three a separate apply + accumulate +
-    /// norm would cost.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any dimensions differ, or the Hamiltonian acts on more
-    /// qubits than the state has.
-    pub fn apply_accumulate_into(
-        &self,
-        input: &StateVector,
-        out: &mut StateVector,
-        target: &mut StateVector,
-        factor: Complex,
-    ) -> f64 {
-        self.kernel()
-            .apply_accumulate_into(input, out, target, factor)
-    }
-
     /// `⟨ψ|H|ψ⟩` in one allocation-free pass per term.
     ///
     /// # Panics
@@ -390,30 +298,27 @@ impl CompiledHamiltonian {
     /// Panics if the Hamiltonian acts on more qubits than the state has.
     pub fn expectation(&self, state: &StateVector) -> f64 {
         assert!(
-            self.num_qubits <= state.num_qubits(),
+            self.num_qubits() <= state.num_qubits(),
             "Hamiltonian acts on more qubits than the state"
         );
         let amplitudes = state.amplitudes();
-        self.terms
-            .iter()
+        self.schedule
+            .segment_terms(0)
             .map(|term| term.expectation(amplitudes).re)
             .sum()
     }
 }
 
-/// A borrowed, classified view of mask-compiled terms driving one fused
-/// `H|ψ⟩` write pass: diagonal table (optional), pure-flip terms, and generic
-/// gather terms.
+/// A borrowed, classified view of one compiled segment driving one fused
+/// `H|ψ⟩` write pass: diagonal table (or on-the-fly diagonal terms),
+/// pure-flip terms, and signed gather terms.
 ///
-/// Both [`CompiledHamiltonian`] (which owns a per-Hamiltonian diagonal table)
-/// and [`crate::schedule::CompiledSchedule`] (which shares one **columnar**
-/// mask layout across segments — mask arrays live in the layout, per-segment
-/// weights in an `S × T` matrix) lower to this view, so the threaded apply
-/// kernels exist exactly once. Every term class therefore comes in two
-/// borrow shapes: masks with weights folded in (`gather_weights` empty,
-/// `CompiledTerm::weight` final) for the constant-Hamiltonian path, or masks
-/// and weights borrowed from *different* owners (layout vs weight matrix)
-/// for the schedule path — no per-segment weight-vector re-materialization.
+/// Every segment of a [`CompiledSchedule`] lowers to this view — a constant
+/// [`CompiledHamiltonian`] is the one-segment case — so the threaded apply
+/// kernels exist exactly once and there is one borrow shape: masks from the
+/// schedule's shared **columnar** layout, real weights from the segment's
+/// row of the `S × T` weight matrix, the diagonal table from whoever
+/// materialized it. No per-segment weight vector is re-materialized.
 ///
 /// It is also the segment handle the [`crate::stepper::Stepper`] backends
 /// evolve through: a stepper receives one `FusedKernel` per segment and
@@ -433,10 +338,8 @@ pub struct FusedKernel<'a> {
     /// Pure bit-flip terms: `x_mask`es parallel to real weights.
     pub(crate) flip_masks: &'a [usize],
     pub(crate) flip_weights: &'a [f64],
-    /// Generic gather terms. When `gather_weights` is empty each term's
-    /// complex weight is final; otherwise the term's weight is its unit
-    /// `i^{y_count}` phase and the real coefficient is the parallel
-    /// `gather_weights` entry (the columnar schedule shape).
+    /// Generic gather terms: each term's weight is its unit `i^{y_count}`
+    /// phase, the real coefficient is the parallel `gather_weights` entry.
     pub(crate) gather_terms: &'a [CompiledTerm],
     pub(crate) gather_weights: &'a [f64],
 }
@@ -468,16 +371,9 @@ impl FusedKernel<'_> {
         for (&x_mask, &weight) in self.flip_masks.iter().zip(self.flip_weights) {
             acc += input[j ^ x_mask].scale(weight);
         }
-        if self.gather_weights.is_empty() {
-            for term in self.gather_terms {
-                let i = j ^ term.x_mask;
-                acc += (term.weight * input[i]).scale(term.sign(i));
-            }
-        } else {
-            for (term, &weight) in self.gather_terms.iter().zip(self.gather_weights) {
-                let i = j ^ term.x_mask;
-                acc += (term.weight * input[i]).scale(weight * term.sign(i));
-            }
+        for (term, &weight) in self.gather_terms.iter().zip(self.gather_weights) {
+            let i = j ^ term.x_mask;
+            acc += (term.weight * input[i]).scale(weight * term.sign(i));
         }
         acc
     }
@@ -599,14 +495,8 @@ impl FusedKernel<'_> {
             acc = acc + gather_block(input, b, x_mask).scale(weight);
         }
         acc = acc + acc_odd;
-        if self.gather_weights.is_empty() {
-            for term in self.gather_terms {
-                acc = acc + gather_term_block(input, b, term, 1.0);
-            }
-        } else {
-            for (term, &weight) in self.gather_terms.iter().zip(self.gather_weights) {
-                acc = acc + gather_term_block(input, b, term, weight);
-            }
+        for (term, &weight) in self.gather_terms.iter().zip(self.gather_weights) {
+            acc = acc + gather_term_block(input, b, term, weight);
         }
         acc
     }
@@ -764,25 +654,9 @@ impl FusedKernel<'_> {
         norm_sqr.sqrt()
     }
 
-    /// [`apply_into`](Self::apply_into) with `target += factor · out` fused
-    /// into the same write pass, under the default [`ExecutionContext::auto`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any dimensions differ, or the kernel acts on more qubits
-    /// than the state has.
-    pub fn apply_accumulate_into(
-        &self,
-        input: &StateVector,
-        out: &mut StateVector,
-        target: &mut StateVector,
-        factor: Complex,
-    ) -> f64 {
-        self.apply_accumulate_into_with(&ExecutionContext::auto(), input, out, target, factor)
-    }
-
-    /// [`apply_accumulate_into`](Self::apply_accumulate_into) under an
-    /// explicit [`ExecutionContext`].
+    /// [`apply_into_with`](Self::apply_into_with) with `target += factor ·
+    /// out` fused into the same write pass: the Taylor iteration's apply,
+    /// accumulate, and norm in one memory sweep instead of three.
     ///
     /// # Panics
     ///
@@ -832,10 +706,9 @@ impl FusedKernel<'_> {
         norm_sqr.sqrt()
     }
 
-    /// [`apply_accumulate_into`](Self::apply_accumulate_into) with **two**
-    /// series terms retired in the same write pass:
-    /// `target += f_input·input + f_out·out`. Returns `‖out‖`. Runs under
-    /// the default [`ExecutionContext::auto`].
+    /// [`apply_accumulate_into_with`](Self::apply_accumulate_into_with)
+    /// with **two** series terms retired in the same write pass:
+    /// `target += f_input·input + f_out·out`. Returns `‖out‖`.
     ///
     /// This is the fused first-and-second-order pass of the batched
     /// multi-segment Taylor sweep: the first kernel application of a step
@@ -844,31 +717,6 @@ impl FusedKernel<'_> {
     /// later, alongside the second-order term. The input element at each
     /// output index is already loaded for the gather work, so the extra
     /// accumulation adds no memory traffic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any dimensions differ, or the kernel acts on more qubits
-    /// than the state has.
-    pub fn apply_accumulate_both_into(
-        &self,
-        input: &StateVector,
-        out: &mut StateVector,
-        target: &mut StateVector,
-        f_input: Complex,
-        f_out: Complex,
-    ) -> f64 {
-        self.apply_accumulate_both_into_with(
-            &ExecutionContext::auto(),
-            input,
-            out,
-            target,
-            f_input,
-            f_out,
-        )
-    }
-
-    /// [`apply_accumulate_both_into`](Self::apply_accumulate_both_into)
-    /// under an explicit [`ExecutionContext`].
     ///
     /// # Panics
     ///
@@ -975,8 +823,8 @@ pub struct BlockKernel<'a> {
     pub(crate) flip_masks: &'a [usize],
     pub(crate) flip_weights: &'a [f64],
     /// Generic gather terms: each term's weight is its unit `i^{y_count}`
-    /// phase, the shared real coefficient rides in `gather_weights` (empty
-    /// means every coefficient is already folded into the term).
+    /// phase, the shared real coefficient rides in the parallel
+    /// `gather_weights` column.
     pub(crate) gather_terms: &'a [CompiledTerm],
     pub(crate) gather_weights: &'a [f64],
     /// Per-realization miscalibration scales duplicated into complex-pair
@@ -1018,16 +866,9 @@ impl BlockKernel<'_> {
         for (&x_mask, &weight) in self.flip_masks.iter().zip(self.flip_weights) {
             acc += input[(j ^ x_mask) * stride + r].scale(weight);
         }
-        if self.gather_weights.is_empty() {
-            for term in self.gather_terms {
-                let i = j ^ term.x_mask;
-                acc += (term.weight * input[i * stride + r]).scale(term.sign(i));
-            }
-        } else {
-            for (term, &weight) in self.gather_terms.iter().zip(self.gather_weights) {
-                let i = j ^ term.x_mask;
-                acc += (term.weight * input[i * stride + r]).scale(weight * term.sign(i));
-            }
+        for (term, &weight) in self.gather_terms.iter().zip(self.gather_weights) {
+            let i = j ^ term.x_mask;
+            acc += (term.weight * input[i * stride + r]).scale(weight * term.sign(i));
         }
         acc.scale(self.scale_pairs[2 * r])
     }
@@ -1082,27 +923,14 @@ impl BlockKernel<'_> {
         // term per row — shared by every realization lane.
         if !self.gather_terms.is_empty() {
             let mut acc_im = F64x8::ZERO;
-            if self.gather_weights.is_empty() {
-                for term in self.gather_terms {
-                    let i = j ^ term.x_mask;
-                    let src = load_block(input, i * stride + lane);
-                    let sign = row_sign(i, term.z_mask);
-                    if term.weight.im == 0.0 {
-                        acc = acc + src.scale(term.weight.re * sign);
-                    } else {
-                        acc_im = acc_im + src.scale(term.weight.im * sign);
-                    }
-                }
-            } else {
-                for (term, &weight) in self.gather_terms.iter().zip(self.gather_weights) {
-                    let i = j ^ term.x_mask;
-                    let src = load_block(input, i * stride + lane);
-                    let w = weight * row_sign(i, term.z_mask);
-                    if term.weight.im == 0.0 {
-                        acc = acc + src.scale(term.weight.re * w);
-                    } else {
-                        acc_im = acc_im + src.scale(term.weight.im * w);
-                    }
+            for (term, &weight) in self.gather_terms.iter().zip(self.gather_weights) {
+                let i = j ^ term.x_mask;
+                let src = load_block(input, i * stride + lane);
+                let w = weight * row_sign(i, term.z_mask);
+                if term.weight.im == 0.0 {
+                    acc = acc + src.scale(term.weight.re * w);
+                } else {
+                    acc_im = acc_im + src.scale(term.weight.im * w);
                 }
             }
             // i · (a + b·i) = −b + a·i: swap each pair, negate the real lane.
@@ -1155,14 +983,10 @@ impl BlockKernel<'_> {
         if !self.gather_terms.is_empty() {
             let mut im0 = F64x8::ZERO;
             let mut im1 = F64x8::ZERO;
-            let mut column = self.gather_weights.iter();
-            for term in self.gather_terms {
+            for (term, &weight) in self.gather_terms.iter().zip(self.gather_weights) {
                 let i = j ^ term.x_mask;
                 let src = i * stride + lane;
-                let mut w = row_sign(i, term.z_mask);
-                if let Some(&weight) = column.next() {
-                    w *= weight;
-                }
+                let w = row_sign(i, term.z_mask) * weight;
                 if term.weight.im == 0.0 {
                     let w = term.weight.re * w;
                     acc0 = acc0 + load_block(input, src).scale(w);

@@ -315,8 +315,9 @@ impl EmulatedDevice {
     /// # Errors
     ///
     /// [`EvolveError::InvalidInput`] for an out-of-range noise model, an
-    /// empty segment list, or a schedule wider than the register; any
-    /// [`EvolveError`] of the underlying evolution.
+    /// empty segment list, a negative or non-finite segment duration, or a
+    /// schedule wider than the register; any [`EvolveError`] of the
+    /// underlying evolution.
     pub fn try_run(
         &self,
         segments: &[(Hamiltonian, f64)],
@@ -326,7 +327,7 @@ impl EmulatedDevice {
         // Evolve realization 0 directly — no realization `Vec` to pop, so
         // the historical `unreachable!` (the last panicking site in the
         // realization path) is gone by construction.
-        let schedule = CompiledSchedule::compile(segments);
+        let schedule = CompiledSchedule::try_compile(segments)?;
         let execution_time = self.try_prepare(&schedule)?;
         let mut propagator = Propagator::with_options(self.options);
         self.run_realization(
@@ -369,7 +370,9 @@ impl EmulatedDevice {
     ///
     /// # Errors
     ///
-    /// See [`try_run_compiled`](EmulatedDevice::try_run_compiled).
+    /// [`EvolveError::InvalidInput`] for a negative or non-finite segment
+    /// duration; otherwise see
+    /// [`try_run_compiled`](EmulatedDevice::try_run_compiled).
     pub fn try_run_realizations(
         &self,
         segments: &[(Hamiltonian, f64)],
@@ -377,7 +380,7 @@ impl EmulatedDevice {
         cyclic: bool,
         realizations: usize,
     ) -> Result<Vec<DeviceRun>, EvolveError> {
-        let schedule = CompiledSchedule::compile(segments);
+        let schedule = CompiledSchedule::try_compile(segments)?;
         self.try_run_compiled(&schedule, num_qubits, cyclic, realizations)
     }
 

@@ -6,14 +6,15 @@
 //!
 //! * [`StateVector`] and the matrix-free propagator in [`propagate`] — exact
 //!   Schrödinger evolution under Pauli-sum Hamiltonians, built on the
-//!   mask-compiled, allocation-free kernels of [`compiled`]
-//!   ([`CompiledHamiltonian`] caches each Pauli term as an
-//!   `(x_mask, z_mask, phase)` bit-triple),
-//! * [`schedule`] — [`CompiledSchedule`], which compiles a piecewise
-//!   (time-dependent) Hamiltonian **once** into mask layouts shared across
-//!   structure-equal segments, with per-segment `O(#terms)` weight swaps
-//!   (and [`CompiledSchedule::scaled_weights`] amplitude-rescaled views that
-//!   share the layouts outright),
+//!   mask-compiled, allocation-free kernels of [`compiled`] (each Pauli term
+//!   an `(x_mask, z_mask, phase)` bit-triple), with one segment routine
+//!   behind every evolution,
+//! * [`schedule`] — [`CompiledSchedule`], the one compiled form: a piecewise
+//!   (time-dependent) Hamiltonian compiled **once** into mask layouts shared
+//!   across structure-equal segments, with per-segment `O(#terms)` weight
+//!   swaps (and [`CompiledSchedule::scaled_weights`] amplitude-rescaled views
+//!   that share the layouts outright); a constant Hamiltonian is its
+//!   one-segment case, [`CompiledHamiltonian`],
 //! * [`stepper`] — the pluggable time-evolution backends: the Taylor
 //!   reference, the batched multi-segment Taylor sweep
 //!   ([`stepper::BatchedTaylorStepper`], which chains runs of same-layout
@@ -103,10 +104,11 @@
 //! [`stepper::NORM_DRIFT_LIMIT`] (1e-6 — six orders above honest round-off)
 //! or any NaN/Inf in a series norm trips the guardrail.
 //!
-//! **Fallback.** When the Krylov or Chebyshev backend fails a guardrail
-//! mid-schedule, [`Propagator`] rolls the state back to the segment boundary
-//! (both backends are rollback-safe by construction) and retries the segment
-//! with the always-works Taylor reference. Each recovery is recorded in a
+//! **Fallback.** When the Krylov or Chebyshev backend fails a guardrail on
+//! any segment — a constant Hamiltonian is a one-segment schedule and takes
+//! the same path — [`Propagator`] rolls the state back to the segment
+//! boundary (both backends are rollback-safe by construction) and retries
+//! the segment with the always-works Taylor reference. Each recovery is recorded in a
 //! [`RecoveryLog`] — inspect it via [`Propagator::recovery_log`] — and under
 //! [`StepperKind::Auto`] the failing backend is demoted for the rest of that
 //! schedule.

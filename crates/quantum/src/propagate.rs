@@ -16,11 +16,15 @@
 //!
 //! The work horse is [`Propagator`]: it owns the steppers (and through them
 //! every scratch vector), so repeated evolutions perform *zero heap
-//! allocation* after the first use at a given register size. A
-//! [`CompiledHamiltonian`] is built once per segment and reused across every
-//! internal step of that segment; [`Propagator::kernel_applications`]
-//! reports how many `H|ψ⟩` passes the chosen backend actually spent — the
-//! currency `BENCH_stepper.json` compares backends in.
+//! allocation* after the first use at a given register size. Every
+//! evolution — a constant [`CompiledHamiltonian`], the recompile-per-segment
+//! reference, or a [`CompiledSchedule`] — runs each segment through one
+//! routine: backend choice, fault arming, batched-run chaining, rollback
+//! and Taylor retry on a tripped guardrail, `Auto` demotion, and telemetry.
+//! The segment's compiled kernel is reused across every internal step;
+//! [`Propagator::kernel_applications`] reports how many `H|ψ⟩` passes the
+//! chosen backend actually spent — the currency `BENCH_stepper.json`
+//! compares backends in.
 //!
 //! The original scalar implementation is retained as
 //! [`apply_hamiltonian_naive`] / [`evolve_naive`]; it is the reference the
@@ -40,18 +44,21 @@
 //!
 //! # Time-dependent schedules
 //!
-//! Piecewise-constant targets have two drivers: the reference
-//! [`Propagator::evolve_piecewise_in_place`], which mask-compiles every
-//! segment from scratch (per-segment diagonal table — best for a few long
+//! There is one compiled form: a [`CompiledSchedule`] of piecewise-constant
+//! segments sharing mask layouts across structure-equal segments, and a
+//! constant [`CompiledHamiltonian`] is its one-segment case (its diagonal
+//! table materialized at compile time). Piecewise-constant targets have two
+//! drivers that differ only in compile work: the reference
+//! [`Propagator::evolve_piecewise_in_place`], which compiles every segment
+//! from scratch into its own [`CompiledHamiltonian`] (best for a few long
 //! segments), and [`Propagator::evolve_schedule_in_place`], which drives a
-//! pre-compiled [`CompiledSchedule`] whose mask layout is shared across
-//! structure-equal segments with `O(#terms)` weight swaps — the hot path for
-//! discretized ramps with hundreds of segments (see `BENCH_schedule.json`).
-//! The [`evolve_piecewise`] convenience wrapper compiles a
-//! [`CompiledSchedule`] under the hood, so one-shot callers get the
-//! layout-reuse win too.
+//! pre-compiled [`CompiledSchedule`] with `O(#terms)` weight swaps between
+//! segments — the hot path for discretized ramps with hundreds of segments
+//! (see `BENCH_schedule.json`). The [`evolve_piecewise`] convenience wrapper
+//! compiles a [`CompiledSchedule`] under the hood, so one-shot callers get
+//! the layout-reuse win too.
 
-use crate::compiled::{BlockKernel, CompiledHamiltonian};
+use crate::compiled::{BlockKernel, CompiledHamiltonian, FusedKernel};
 use crate::error::{EvolveError, RecoveryEvent, RecoveryLog};
 use crate::fault::{Fault, FaultInjector};
 use crate::schedule::{CompiledSchedule, DiagTableScratch, RealizationWeights};
@@ -153,6 +160,32 @@ struct TraceSegment {
     started: std::time::Instant,
     applications: u64,
     state_passes: u64,
+}
+
+/// The per-call state of one sequential evolution, threaded through every
+/// segment it runs by `Propagator::try_run_segment`.
+struct SegmentRun {
+    /// Norm of the state at call entry; every drift correction rescales back
+    /// to it.
+    reference_norm: f64,
+    /// The mask layout an open batched sweep is chained on, if any.
+    open_layout: Option<usize>,
+    /// Backends demoted for the rest of this call by a recovered failure;
+    /// only consulted under `Auto`.
+    demoted_krylov: bool,
+    demoted_chebyshev: bool,
+    executed_segments: usize,
+    trace: Option<TraceRun>,
+}
+
+/// One segment ready to run: where it sits in the schedule, its kernel, its
+/// (diagonal-tightened) bound, and its duration.
+struct ReadySegment<'a> {
+    index: usize,
+    layout: usize,
+    kernel: FusedKernel<'a>,
+    bound: SpectralBound,
+    duration: f64,
 }
 
 impl Default for Propagator {
@@ -321,11 +354,36 @@ impl Propagator {
         self.injector = injector;
     }
 
-    /// Resolves the backend kind for one segment (the cost-model choice
-    /// under `Auto`) and records the decision (up to
+    /// Resolves the backend kind for one segment — the cost-model choice
+    /// under `Auto`, skipping any backend a recovered failure demoted
+    /// earlier in `run` — and records the decision (up to
     /// [`MAX_RECORDED_DECISIONS`]).
-    fn resolve_kind(&mut self, bound: &SpectralBound, duration: f64) -> StepperKind {
-        let kind = self.options.resolve(bound, duration);
+    fn resolve_kind(
+        &mut self,
+        run: &SegmentRun,
+        bound: &SpectralBound,
+        duration: f64,
+    ) -> StepperKind {
+        let kind = if self.options.stepper == StepperKind::Auto
+            && (run.demoted_krylov || run.demoted_chebyshev)
+        {
+            let candidates: Vec<StepperKind> = StepperKind::fixed()
+                .into_iter()
+                .filter(|candidate| match candidate {
+                    StepperKind::Krylov => !run.demoted_krylov,
+                    StepperKind::Chebyshev => !run.demoted_chebyshev,
+                    _ => true,
+                })
+                .collect();
+            self.options.auto_model.choose_among(
+                &candidates,
+                bound,
+                duration,
+                self.options.tolerance,
+            )
+        } else {
+            self.options.resolve(bound, duration)
+        };
         if self.decisions.len() < MAX_RECORDED_DECISIONS {
             self.decisions.push(kind);
         }
@@ -508,23 +566,38 @@ impl Propagator {
     /// reports invalid inputs and tripped numerical guardrails as
     /// [`EvolveError`] instead of panicking.
     ///
-    /// When the Krylov or Chebyshev backend trips a guardrail, the state is
-    /// rolled back to its pre-evolution value (both backends restore the
-    /// entry state on failure), the evolution is retried with the Taylor
-    /// reference, and the failure is recorded in
+    /// A constant Hamiltonian is a one-segment schedule, so it runs through
+    /// the same segment routine as
+    /// [`try_evolve_schedule_in_place`](Propagator::try_evolve_schedule_in_place)
+    /// as segment `0`: faults an attached [`FaultInjector`] registers for
+    /// segment `0` fire here, and a tripped guardrail is rolled back, retried
+    /// with the Taylor reference, and recorded in
     /// [`recovery_log`](Propagator::recovery_log) — so a recoverable failure
     /// still returns `Ok` with the correct answer.
     ///
     /// # Errors
     ///
-    /// [`EvolveError::InvalidInput`] for a negative/non-finite `time` or a
-    /// non-finite input norm; any guardrail error of the selected backend
-    /// when no fallback applies.
+    /// [`EvolveError::InvalidInput`] for a negative/non-finite `time`, a
+    /// Hamiltonian wider than the state, or a non-finite input norm; any
+    /// guardrail error of the selected backend when no fallback applies.
     pub fn try_evolve_in_place(
         &mut self,
         hamiltonian: &CompiledHamiltonian,
         state: &mut StateVector,
         time: f64,
+    ) -> Result<(), EvolveError> {
+        self.try_evolve_segment_in_place(hamiltonian, state, time, 0)
+    }
+
+    /// [`try_evolve_in_place`](Propagator::try_evolve_in_place) with the
+    /// Hamiltonian running as segment `index`: the index its faults are
+    /// armed on and its errors, recoveries, and spans are stamped with.
+    fn try_evolve_segment_in_place(
+        &mut self,
+        hamiltonian: &CompiledHamiltonian,
+        state: &mut StateVector,
+        time: f64,
+        index: usize,
     ) -> Result<(), EvolveError> {
         if !(time.is_finite() && time >= 0.0) {
             return Err(EvolveError::InvalidInput {
@@ -534,63 +607,33 @@ impl Propagator {
         if time == 0.0 || hamiltonian.is_empty() {
             return Ok(());
         }
-        let reference_norm = state.norm();
-        if !reference_norm.is_finite() {
-            return Err(EvolveError::InvalidInput {
-                context: format!("input state norm is not finite ({reference_norm})"),
-            });
-        }
-        if reference_norm == 0.0 {
-            // The zero vector is a fixed point of any linear evolution.
+        let Some(mut run) =
+            self.try_begin_run(hamiltonian.num_qubits(), state, hamiltonian.compile_span())?
+        else {
             return Ok(());
-        }
-        let kernel = hamiltonian.kernel();
-        let bound = hamiltonian.spectral_bound();
-        let trace = self.begin_trace(hamiltonian.compile_span());
-        let segment_trace = self.begin_segment_trace();
-        let kind = self.resolve_kind(&bound, time);
-        let result =
-            self.stepper_for(kind)
-                .try_evolve_segment(kernel, &bound, state, time, reference_norm);
-        let mut recovered = false;
-        match result {
-            Ok(()) => {}
-            // Krylov and Chebyshev restore the entry state on failure, so a
-            // Taylor retry starts from clean data. Taylor/BatchedTaylor
-            // leave mid-segment state behind — no safe retry point.
-            Err(error) if matches!(kind, StepperKind::Krylov | StepperKind::Chebyshev) => {
-                self.taylor
-                    .try_evolve_segment(kernel, &bound, state, time, reference_norm)?;
-                self.record_recovery(RecoveryEvent {
-                    segment: None,
-                    backend: kind,
-                    fallback: StepperKind::Taylor,
-                    error,
-                });
-                recovered = true;
-            }
-            Err(error) => return Err(error),
-        }
-        if let Some(segment) = segment_trace {
-            self.finish_segment_trace(segment, None, kind, time, &bound, recovered);
-        }
-        if let Some(run) = trace {
-            // A constant Hamiltonian traces as a one-segment schedule with
-            // no batched-run finalization.
-            self.finish_trace(run, 1, 1, time, 0, state.dim());
-        }
-        Ok(())
+        };
+        let segment = ReadySegment {
+            index,
+            layout: 0,
+            kernel: hamiltonian.kernel(),
+            bound: hamiltonian.spectral_bound(),
+            duration: time,
+        };
+        self.try_run_segment(&mut run, segment, state)?;
+        self.try_finish_run(run, state, 1, time)
     }
 
     /// Evolves `state` in place through a sequence of `(Hamiltonian,
     /// duration)` segments — the form produced by a compiled pulse schedule
-    /// or a piecewise-constant target Hamiltonian. Each segment is
-    /// mask-compiled once; the scratch buffers are shared across segments.
+    /// or a piecewise-constant target Hamiltonian.
     ///
-    /// This is the recompile-per-segment reference path: each segment gets
-    /// the full [`CompiledHamiltonian`] treatment including its diagonal
-    /// table. For schedules with many structure-sharing segments, compile a
-    /// [`CompiledSchedule`] once and use
+    /// This is the recompile-per-segment reference path: each segment is
+    /// compiled from scratch into its own [`CompiledHamiltonian`] (diagonal
+    /// table included) and run through
+    /// [`try_evolve_in_place`](Propagator::try_evolve_in_place)'s segment
+    /// routine under its schedule index; the scratch buffers are shared
+    /// across segments. For schedules with many structure-sharing segments,
+    /// compile a [`CompiledSchedule`] once and use
     /// [`evolve_schedule_in_place`](Propagator::evolve_schedule_in_place)
     /// instead — it reuses one mask layout across segments.
     ///
@@ -623,8 +666,7 @@ impl Propagator {
     ) -> Result<(), EvolveError> {
         for (index, (hamiltonian, duration)) in segments.iter().enumerate() {
             let compiled = CompiledHamiltonian::compile(hamiltonian);
-            self.try_evolve_in_place(&compiled, state, *duration)
-                .map_err(|error| error.with_segment(index))?;
+            self.try_evolve_segment_in_place(&compiled, state, *duration, index)?;
         }
         Ok(())
     }
@@ -634,11 +676,11 @@ impl Propagator {
     /// so per segment only the `O(#terms)` weight vectors change hands.
     ///
     /// Stepping, truncation, and norm semantics are identical to
-    /// [`evolve_in_place`](Propagator::evolve_in_place) segment by segment,
-    /// through whichever backend the options select — with one structural
-    /// upgrade: consecutive segments that resolve to
-    /// [`StepperKind::BatchedTaylor`] **and** share a mask layout are chained
-    /// through a single batched sweep
+    /// [`evolve_in_place`](Propagator::evolve_in_place) segment by segment —
+    /// both run the same segment routine, through whichever backend the
+    /// options select — with one structural upgrade: consecutive segments
+    /// that resolve to [`StepperKind::BatchedTaylor`] **and** share a mask
+    /// layout are chained through a single batched sweep
     /// ([`BatchedTaylorStepper::begin_run`] /
     /// [`run_segment`](BatchedTaylorStepper::run_segment) /
     /// [`finish_run`](BatchedTaylorStepper::finish_run)): the masks are read
@@ -691,7 +733,48 @@ impl Propagator {
         schedule: &CompiledSchedule,
         state: &mut StateVector,
     ) -> Result<(), EvolveError> {
-        if schedule.num_qubits() > state.num_qubits() {
+        let Some(mut run) =
+            self.try_begin_run(schedule.num_qubits(), state, schedule.compile_span())?
+        else {
+            return Ok(());
+        };
+        // Scratch for the per-segment diagonal tables: allocated once on the
+        // first diagonal-bearing segment, then updated incrementally (only
+        // the weight deltas of changed terms) for the rest of the run. The
+        // fill also maintains the table's exact (min, max).
+        let mut diag_scratch = DiagTableScratch::new();
+        for index in 0..schedule.num_segments() {
+            let duration = schedule.segment_duration(index);
+            if duration == 0.0 {
+                continue;
+            }
+            let (diag_table, bound) = schedule.prepare_segment(index, &mut diag_scratch);
+            let kernel = schedule.segment_kernel(index, diag_table);
+            if kernel.is_empty() {
+                continue;
+            }
+            let segment = ReadySegment {
+                index,
+                layout: schedule.segment_layout(index),
+                kernel,
+                bound,
+                duration,
+            };
+            self.try_run_segment(&mut run, segment, state)?;
+        }
+        self.try_finish_run(run, state, schedule.num_segments(), schedule.total_time())
+    }
+
+    /// Opens one sequential evolution of a `num_qubits`-qubit schedule over
+    /// `state`: validates the inputs and opens the trace. `None` when the
+    /// state is the zero vector, a fixed point of any linear evolution.
+    fn try_begin_run(
+        &mut self,
+        num_qubits: usize,
+        state: &StateVector,
+        compile: CompileSpan,
+    ) -> Result<Option<SegmentRun>, EvolveError> {
+        if num_qubits > state.num_qubits() {
             return Err(EvolveError::InvalidInput {
                 context: "schedule acts on more qubits than the state".to_string(),
             });
@@ -703,213 +786,178 @@ impl Propagator {
             });
         }
         if reference_norm == 0.0 {
-            return Ok(());
+            return Ok(None);
         }
-        let trace = self.begin_trace(schedule.compile_span());
-        let mut executed_segments = 0usize;
-        // Scratch for the per-segment diagonal tables: allocated once on the
-        // first diagonal-bearing segment, then updated incrementally (only
-        // the weight deltas of changed terms) for the rest of the run. The
-        // fill also maintains the table's exact (min, max).
-        let mut diag_scratch = DiagTableScratch::new();
-        // The mask layout an open batched sweep is chained on, if any.
-        let mut open_run_layout: Option<usize> = None;
-        // Backends demoted for the rest of this schedule by a recovered
-        // failure; only consulted under `Auto`.
-        let mut demoted_krylov = false;
-        let mut demoted_chebyshev = false;
-        for index in 0..schedule.num_segments() {
-            let duration = schedule.segment_duration(index);
-            if duration == 0.0 {
-                continue;
-            }
-            let use_table = schedule.wants_diag_table(index);
-            if use_table {
-                schedule.update_diag_table(index, &mut diag_scratch);
-            }
-            let kernel =
-                schedule.segment_kernel(index, if use_table { &diag_scratch.table } else { &[] });
-            if kernel.is_empty() {
-                continue;
-            }
-            // With a materialized table the exact diagonal range tightens
-            // the triangle-inequality enclosure — fewer Chebyshev orders on
-            // detuning-dominated segments, and a better-informed automatic
-            // backend choice.
-            let bound = if use_table {
-                let (diag_min, diag_max) = diag_scratch.range;
-                schedule.segment_bound(index).with_exact_diagonal(
-                    diag_min,
-                    diag_max,
-                    schedule.segment_offdiag_radius(index),
-                )
-            } else {
-                schedule.segment_bound(index)
-            };
-            let kind = if self.options.stepper == StepperKind::Auto
-                && (demoted_krylov || demoted_chebyshev)
-            {
-                let candidates: Vec<StepperKind> = StepperKind::fixed()
-                    .into_iter()
-                    .filter(|candidate| match candidate {
-                        StepperKind::Krylov => !demoted_krylov,
-                        StepperKind::Chebyshev => !demoted_chebyshev,
-                        _ => true,
-                    })
-                    .collect();
-                let kind = self.options.auto_model.choose_among(
-                    &candidates,
-                    &bound,
-                    duration,
-                    self.options.tolerance,
-                );
-                if self.decisions.len() < MAX_RECORDED_DECISIONS {
-                    self.decisions.push(kind);
-                }
-                kind
-            } else {
-                self.resolve_kind(&bound, duration)
-            };
-            // Snapshot counters before fault arming so the flush of a
-            // previous batched run is attributed to the segment forcing it
-            // (same attribution as the layout-change flush below).
-            let segment_trace = self.begin_segment_trace();
-            let mut recovered = false;
-            // Arm any faults registered for this segment (consume-once: the
-            // Taylor retry below sees clean data).
-            let faults = match self.injector.as_mut() {
-                Some(injector) => injector.take_faults(index),
-                None => Vec::new(),
-            };
-            let has_faults = !faults.is_empty();
-            let mut effective_bound = bound;
-            if has_faults {
-                // Flush an open batched run first so the snapshot captures
-                // the true segment-boundary state, not a mid-run one.
-                if open_run_layout.take().is_some() {
-                    self.batched
-                        .try_finish_run(state)
-                        .map_err(|error| error.with_segment(index))?;
-                }
-                if self.fault_snapshot.num_qubits() != state.num_qubits() {
-                    self.fault_snapshot = StateVector::zeros(state.num_qubits());
-                }
-                self.fault_snapshot.copy_from(state);
-                for fault in &faults {
-                    match fault {
-                        Fault::BoundPerturbation {
-                            radius_scale,
-                            center_shift,
-                        } => {
-                            effective_bound.radius *= radius_scale;
-                            effective_bound.center += center_shift;
-                        }
-                        Fault::QlNonConvergence => self.krylov.force_ql_nonconvergence(),
-                        Fault::NanAmplitude
-                        | Fault::InfAmplitude
-                        | Fault::AmplitudeSpike { .. } => {
-                            if let Some(injector) = self.injector.as_ref() {
-                                injector.corrupt_state(state, index, fault);
-                            }
-                        }
-                    }
-                }
-            }
-            let result = if kind == StepperKind::BatchedTaylor && !has_faults {
-                let layout = schedule.segment_layout(index);
-                if open_run_layout != Some(layout) {
-                    if open_run_layout.is_some() {
-                        self.batched
-                            .try_finish_run(state)
-                            .map_err(|error| error.with_segment(index))?;
-                    }
-                    self.batched.begin_run(state, reference_norm);
-                    open_run_layout = Some(layout);
-                }
+        Ok(Some(SegmentRun {
+            reference_norm,
+            open_layout: None,
+            demoted_krylov: false,
+            demoted_chebyshev: false,
+            executed_segments: 0,
+            trace: self.begin_trace(compile),
+        }))
+    }
+
+    /// Evolves `state` through one segment of an open run — the one routine
+    /// behind constant-Hamiltonian, recompile-per-segment, and schedule
+    /// evolution: backend choice, fault arming, batched-run chaining,
+    /// rollback and Taylor retry on a tripped guardrail, `Auto` demotion,
+    /// and the segment's telemetry.
+    fn try_run_segment(
+        &mut self,
+        run: &mut SegmentRun,
+        segment: ReadySegment<'_>,
+        state: &mut StateVector,
+    ) -> Result<(), EvolveError> {
+        let ReadySegment {
+            index,
+            layout,
+            kernel,
+            bound,
+            duration,
+        } = segment;
+        let kind = self.resolve_kind(run, &bound, duration);
+        // Snapshot counters before fault arming so the flush of a previous
+        // batched run is attributed to the segment forcing it (same
+        // attribution as the layout-change flush below).
+        let segment_trace = self.begin_segment_trace();
+        let mut recovered = false;
+        // Arm any faults registered for this segment (consume-once: the
+        // Taylor retry below sees clean data).
+        let faults = match self.injector.as_mut() {
+            Some(injector) => injector.take_faults(index),
+            None => Vec::new(),
+        };
+        let has_faults = !faults.is_empty();
+        let mut effective_bound = bound;
+        if has_faults {
+            // Flush an open batched run first so the snapshot captures the
+            // true segment-boundary state, not a mid-run one.
+            if run.open_layout.take().is_some() {
                 self.batched
-                    .try_run_segment(kernel, &effective_bound, state, duration)
-            } else {
-                if open_run_layout.take().is_some() {
+                    .try_finish_run(state)
+                    .map_err(|error| error.with_segment(index))?;
+            }
+            if self.fault_snapshot.num_qubits() != state.num_qubits() {
+                self.fault_snapshot = StateVector::zeros(state.num_qubits());
+            }
+            self.fault_snapshot.copy_from(state);
+            for fault in &faults {
+                match fault {
+                    Fault::BoundPerturbation {
+                        radius_scale,
+                        center_shift,
+                    } => {
+                        effective_bound.radius *= radius_scale;
+                        effective_bound.center += center_shift;
+                    }
+                    Fault::QlNonConvergence => self.krylov.force_ql_nonconvergence(),
+                    Fault::NanAmplitude | Fault::InfAmplitude | Fault::AmplitudeSpike { .. } => {
+                        if let Some(injector) = self.injector.as_ref() {
+                            injector.corrupt_state(state, index, fault);
+                        }
+                    }
+                }
+            }
+        }
+        let result = if kind == StepperKind::BatchedTaylor && !has_faults {
+            if run.open_layout != Some(layout) {
+                if run.open_layout.is_some() {
                     self.batched
                         .try_finish_run(state)
                         .map_err(|error| error.with_segment(index))?;
                 }
-                self.stepper_for(kind).try_evolve_segment(
-                    kernel,
-                    &effective_bound,
-                    state,
-                    duration,
-                    reference_norm,
-                )
-            };
-            if has_faults {
-                // A forced QL failure must not leak into later, un-faulted
-                // segments when a non-Krylov backend ran this one.
-                self.krylov.clear_forced_ql_failure();
+                self.batched.begin_run(state, run.reference_norm);
+                run.open_layout = Some(layout);
             }
-            if let Err(error) = result {
-                // The segment boundary is recoverable when the fault
-                // snapshot holds it, or the backend restores it on failure
-                // (Krylov, Chebyshev). A mid-run BatchedTaylor or mid-step
-                // Taylor failure without a snapshot has no safe retry point.
-                let recoverable =
-                    has_faults || matches!(kind, StepperKind::Krylov | StepperKind::Chebyshev);
-                if !recoverable {
-                    return Err(error.with_segment(index));
-                }
+            self.batched
+                .try_run_segment(kernel, &effective_bound, state, duration)
+        } else {
+            if run.open_layout.take().is_some() {
+                self.batched
+                    .try_finish_run(state)
+                    .map_err(|error| error.with_segment(index))?;
+            }
+            self.stepper_for(kind).try_evolve_segment(
+                kernel,
+                &effective_bound,
+                state,
+                duration,
+                run.reference_norm,
+            )
+        };
+        if has_faults {
+            // A forced QL failure must not leak into later, un-faulted
+            // segments when a non-Krylov backend ran this one.
+            self.krylov.clear_forced_ql_failure();
+        }
+        if let Err(error) = result {
+            // The segment boundary is recoverable when the fault snapshot
+            // holds it, or the backend restores it on failure (Krylov,
+            // Chebyshev). A mid-run BatchedTaylor or mid-step Taylor failure
+            // without a snapshot has no safe retry point.
+            let recoverable =
+                has_faults || matches!(kind, StepperKind::Krylov | StepperKind::Chebyshev);
+            if !recoverable {
+                return Err(error.with_segment(index));
+            }
+            if has_faults {
+                state.copy_from(&self.fault_snapshot);
+            }
+            // Retry with the Taylor reference and the clean (unperturbed)
+            // bound; the faults were consumed above.
+            if let Err(retry_error) =
+                self.taylor
+                    .try_evolve_segment(kernel, &bound, state, duration, run.reference_norm)
+            {
                 if has_faults {
                     state.copy_from(&self.fault_snapshot);
                 }
-                // Retry with the Taylor reference and the clean (unperturbed)
-                // bound; the faults were consumed above.
-                match self.taylor.try_evolve_segment(
-                    kernel,
-                    &bound,
-                    state,
-                    duration,
-                    reference_norm,
-                ) {
-                    Ok(()) => {
-                        self.record_recovery(RecoveryEvent {
-                            segment: Some(index),
-                            backend: kind,
-                            fallback: StepperKind::Taylor,
-                            error: error.with_segment(index),
-                        });
-                        recovered = true;
-                        match kind {
-                            StepperKind::Krylov => demoted_krylov = true,
-                            StepperKind::Chebyshev => demoted_chebyshev = true,
-                            _ => {}
-                        }
-                    }
-                    Err(retry_error) => {
-                        if has_faults {
-                            state.copy_from(&self.fault_snapshot);
-                        }
-                        return Err(retry_error.with_segment(index));
-                    }
-                }
+                return Err(retry_error.with_segment(index));
             }
-            executed_segments += 1;
-            if let Some(segment) = segment_trace {
-                self.finish_segment_trace(segment, Some(index), kind, duration, &bound, recovered);
+            self.record_recovery(RecoveryEvent {
+                segment: Some(index),
+                backend: kind,
+                fallback: StepperKind::Taylor,
+                error: error.with_segment(index),
+            });
+            recovered = true;
+            match kind {
+                StepperKind::Krylov => run.demoted_krylov = true,
+                StepperKind::Chebyshev => run.demoted_chebyshev = true,
+                _ => {}
             }
         }
-        let pre_finalize_passes = match trace {
+        run.executed_segments += 1;
+        if let Some(segment) = segment_trace {
+            self.finish_segment_trace(segment, Some(index), kind, duration, &bound, recovered);
+        }
+        Ok(())
+    }
+
+    /// Closes an open run: flushes a chained batched sweep (its deferred
+    /// drift correction) and closes the trace.
+    fn try_finish_run(
+        &mut self,
+        run: SegmentRun,
+        state: &mut StateVector,
+        segments: usize,
+        total_time: f64,
+    ) -> Result<(), EvolveError> {
+        let pre_finalize_passes = match run.trace {
             Some(_) => self.state_passes(),
             None => 0,
         };
-        if open_run_layout.is_some() {
+        if run.open_layout.is_some() {
             self.batched.try_finish_run(state)?;
         }
-        if let Some(run) = trace {
+        if let Some(trace) = run.trace {
             let finalize_passes = self.state_passes() - pre_finalize_passes;
             self.finish_trace(
-                run,
-                schedule.num_segments(),
-                executed_segments,
-                schedule.total_time(),
+                trace,
+                segments,
+                run.executed_segments,
+                total_time,
                 finalize_passes,
                 state.dim(),
             );
@@ -1021,28 +1069,11 @@ impl Propagator {
             if duration == 0.0 {
                 continue;
             }
-            let use_table = schedule.wants_diag_table(index);
-            if use_table {
-                schedule.update_diag_table(index, &mut diag_scratch);
-            }
-            let kernel = schedule.segment_block_kernel(
-                index,
-                if use_table { &diag_scratch.table } else { &[] },
-                &weights,
-            );
+            let (diag_table, bound) = schedule.prepare_segment(index, &mut diag_scratch);
+            let kernel = schedule.segment_block_kernel(index, diag_table, &weights);
             if kernel.is_empty() {
                 continue;
             }
-            let bound = if use_table {
-                let (diag_min, diag_max) = diag_scratch.range;
-                schedule.segment_bound(index).with_exact_diagonal(
-                    diag_min,
-                    diag_max,
-                    schedule.segment_offdiag_radius(index),
-                )
-            } else {
-                schedule.segment_bound(index)
-            };
             // The block path has exactly one backend; record the decision so
             // introspection matches the sequential BatchedTaylor sweep.
             if self.decisions.len() < MAX_RECORDED_DECISIONS {
@@ -1102,11 +1133,7 @@ impl Propagator {
                 // snapshot, so amplitude corruption registers as drift.
                 self.block.begin_run(&self.block_snapshot);
                 let result = self.run_block_segment_standalone(
-                    schedule.segment_block_kernel(
-                        index,
-                        if use_table { &diag_scratch.table } else { &[] },
-                        &weights,
-                    ),
+                    kernel,
                     &effective_bound,
                     &weights,
                     block,
@@ -1117,17 +1144,9 @@ impl Propagator {
                     // Retry with clean data and the unperturbed bound; the
                     // faults were consumed above.
                     self.block.begin_run(block);
-                    match self.run_block_segment_standalone(
-                        schedule.segment_block_kernel(
-                            index,
-                            if use_table { &diag_scratch.table } else { &[] },
-                            &weights,
-                        ),
-                        &bound,
-                        &weights,
-                        block,
-                        duration,
-                    ) {
+                    match self
+                        .run_block_segment_standalone(kernel, &bound, &weights, block, duration)
+                    {
                         Ok(()) => {
                             self.record_recovery(RecoveryEvent {
                                 segment: Some(index),
@@ -1148,17 +1167,9 @@ impl Propagator {
                     self.block.begin_run(block);
                     run_open = true;
                 }
-                let result = self.block.try_run_segment(
-                    schedule.segment_block_kernel(
-                        index,
-                        if use_table { &diag_scratch.table } else { &[] },
-                        &weights,
-                    ),
-                    &bound,
-                    weights.scales(),
-                    block,
-                    duration,
-                );
+                let result =
+                    self.block
+                        .try_run_segment(kernel, &bound, weights.scales(), block, duration);
                 if let Err(error) = result {
                     // No fault snapshot: the batched scheme is not
                     // rollback-safe mid-run, so there is no safe retry point.
@@ -1382,7 +1393,9 @@ pub fn evolve_piecewise_with(
 ///
 /// # Errors
 ///
-/// See [`Propagator::try_evolve_schedule_in_place`].
+/// [`EvolveError::InvalidInput`] for a negative or non-finite segment
+/// duration (see [`CompiledSchedule::try_compile`]); otherwise see
+/// [`Propagator::try_evolve_schedule_in_place`].
 pub fn try_evolve_piecewise(
     state: &StateVector,
     segments: &[(Hamiltonian, f64)],
@@ -1394,13 +1407,13 @@ pub fn try_evolve_piecewise(
 ///
 /// # Errors
 ///
-/// See [`Propagator::try_evolve_schedule_in_place`].
+/// See [`try_evolve_piecewise`].
 pub fn try_evolve_piecewise_with(
     state: &StateVector,
     segments: &[(Hamiltonian, f64)],
     options: EvolveOptions,
 ) -> Result<StateVector, EvolveError> {
-    let schedule = CompiledSchedule::compile(segments);
+    let schedule = CompiledSchedule::try_compile(segments)?;
     try_evolve_schedule_with(state, &schedule, options)
 }
 

@@ -25,20 +25,25 @@
 //! [`Hamiltonian::same_structure`]), so schedules that alternate between a
 //! few structures still reuse each layout.
 //!
-//! The per-segment kernels lower to the same fused write pass the
-//! constant-Hamiltonian path uses (`FusedKernel` in [`crate::compiled`]),
-//! which borrows masks from the layout and weights from the matrix row
-//! directly — and executes under the driving propagator's one
-//! [`ExecutionContext`](crate::ExecutionContext): the SIMD-lane path and the
-//! persistent worker pool are configured once per
+//! This is the crate's one compiled form: a constant Hamiltonian is the
+//! one-segment case
+//! ([`CompiledHamiltonian`](crate::compiled::CompiledHamiltonian) wraps one),
+//! and every segment lowers to the same fused write pass (`FusedKernel` in
+//! [`crate::compiled`]), which borrows masks from the layout and weights
+//! from the matrix row directly — and executes under the driving
+//! propagator's one [`ExecutionContext`](crate::ExecutionContext): the
+//! SIMD-lane path and the persistent worker pool are configured once per
 //! [`Propagator`](crate::Propagator) and reused by every segment of every
 //! schedule it runs, so a thousand-segment ramp pays zero per-segment
-//! thread-spawn or configuration cost. Diagonal terms keep their table fast path: at *evolve* time the
+//! thread-spawn or configuration cost.
+//!
+//! Diagonal terms keep their table fast path: at *evolve* time the
 //! segment's diagonal weight columns are folded into a propagator-owned
 //! scratch table — one `O(#diag · 2ⁿ)` fill per segment into a buffer reused
 //! across all of them, updated **incrementally** by weight deltas within a
-//! structure run. The fill also tracks the table's exact minimum and
-//! maximum, which tightens the segment's [`SpectralBound`] (see
+//! structure run (a constant Hamiltonian does its one fill at compile time).
+//! The fill also tracks the table's exact minimum and maximum, which
+//! tightens the segment's [`SpectralBound`] (see
 //! [`SpectralBound::with_exact_diagonal`]) — the input both the Chebyshev
 //! order and the automatic backend selection feed on. Compile-time segment
 //! cost stays strictly `O(#terms)` — see `BENCH_schedule.json` for both the
@@ -77,6 +82,14 @@ use crate::stepper::SpectralBound;
 use crate::telemetry::{CompileSpan, CompileTiming};
 use qturbo_hamiltonian::{Hamiltonian, PauliString, PiecewiseHamiltonian};
 use std::sync::Arc;
+
+/// Diagonal terms are folded into a per-basis-state table when a segment has
+/// at least this many of them (a single diagonal term is just as fast
+/// evaluated on the fly, and the table costs `2ⁿ` doubles).
+const DIAG_TABLE_MIN_TERMS: usize = 2;
+/// No diagonal table above this qubit count (memory guard: the table is
+/// `2ⁿ · 8` bytes).
+const DIAG_TABLE_MAX_QUBITS: usize = 24;
 
 /// The shared structural layout of one run of structure-equal segments: the
 /// canonical Pauli strings plus their columnar mask classification.
@@ -221,22 +234,59 @@ impl CompiledSchedule {
     ///
     /// # Panics
     ///
-    /// Panics if any duration is negative or not finite.
+    /// Panics if any duration is negative or not finite. Use
+    /// [`try_compile`](CompiledSchedule::try_compile) to receive a typed
+    /// error instead.
     pub fn compile(segments: &[(Hamiltonian, f64)]) -> Self {
+        Self::try_compile(segments).unwrap_or_else(|error| panic!("{error}"))
+    }
+
+    /// Fallible variant of [`compile`](CompiledSchedule::compile).
+    ///
+    /// # Errors
+    ///
+    /// [`EvolveError::InvalidInput`] if any duration is negative, NaN, or
+    /// infinite.
+    pub fn try_compile(segments: &[(Hamiltonian, f64)]) -> Result<Self, EvolveError> {
+        Self::try_compile_segments(segments.iter().map(|(h, duration)| (h, *duration)))
+    }
+
+    /// Compiles a [`PiecewiseHamiltonian`] (segments in evolution order).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any duration is negative or not finite.
+    pub fn compile_piecewise(piecewise: &PiecewiseHamiltonian) -> Self {
+        Self::try_compile_segments(
+            piecewise
+                .segments()
+                .iter()
+                .map(|s| (&s.hamiltonian, s.duration)),
+        )
+        .unwrap_or_else(|error| panic!("{error}"))
+    }
+
+    /// The one compile routine behind every constructor, including the
+    /// one-segment [`CompiledHamiltonian`](crate::compiled::CompiledHamiltonian):
+    /// borrows the segment Hamiltonians, so no caller clones them.
+    pub(crate) fn try_compile_segments<'h>(
+        segments: impl IntoIterator<Item = (&'h Hamiltonian, f64)>,
+    ) -> Result<Self, EvolveError> {
         let started = std::time::Instant::now();
-        let num_qubits = segments
-            .iter()
-            .map(|(h, _)| h.num_qubits())
-            .max()
-            .unwrap_or(0);
+        let segments = segments.into_iter();
+        let mut num_qubits = 0;
         let mut layouts: Vec<ScheduleLayout> = Vec::new();
         let mut weights: Vec<Vec<f64>> = Vec::new();
-        let mut compiled = Vec::with_capacity(segments.len());
-        for (hamiltonian, duration) in segments {
-            assert!(
-                duration.is_finite() && *duration >= 0.0,
-                "segment duration must be non-negative"
-            );
+        let mut compiled = Vec::with_capacity(segments.size_hint().0);
+        for (index, (hamiltonian, duration)) in segments.enumerate() {
+            if !(duration.is_finite() && duration >= 0.0) {
+                return Err(EvolveError::InvalidInput {
+                    context: format!(
+                        "segment {index} duration must be non-negative and finite, got {duration}"
+                    ),
+                });
+            }
+            num_qubits = num_qubits.max(hamiltonian.num_qubits());
             let fingerprint = hamiltonian.structure_fingerprint();
             let layout = layouts
                 .iter()
@@ -251,10 +301,10 @@ impl CompiledSchedule {
                 &layouts[layout],
                 &mut weights[layout],
                 hamiltonian,
-                *duration,
+                duration,
             ));
         }
-        CompiledSchedule {
+        Ok(CompiledSchedule {
             num_qubits,
             layouts: Arc::new(layouts),
             weights,
@@ -262,17 +312,7 @@ impl CompiledSchedule {
             timing: CompileTiming {
                 wall_ns: started.elapsed().as_nanos() as u64,
             },
-        }
-    }
-
-    /// Compiles a [`PiecewiseHamiltonian`] (segments in evolution order).
-    pub fn compile_piecewise(piecewise: &PiecewiseHamiltonian) -> Self {
-        let segments: Vec<(Hamiltonian, f64)> = piecewise
-            .segments()
-            .iter()
-            .map(|s| (s.hamiltonian.clone(), s.duration))
-            .collect();
-        Self::compile(&segments)
+        })
     }
 
     /// The `O(#terms)` weight swap: appends one row to the layout's weight
@@ -318,8 +358,9 @@ impl CompiledSchedule {
             bound: SpectralBound {
                 center,
                 radius,
-                // Same step-sizing strength as the constant-Hamiltonian path
-                // so both produce identical Taylor step counts.
+                // Same step-sizing strength as the naive reference
+                // (`evolve_naive`) so both produce identical Taylor step
+                // counts.
                 step_strength: hamiltonian.coefficient_l1_norm()
                     + hamiltonian.max_abs_coefficient(),
             },
@@ -383,12 +424,6 @@ impl CompiledSchedule {
     /// Panics if `index` is out of range.
     pub fn segment_bound(&self, index: usize) -> SpectralBound {
         self.segments[index].bound
-    }
-
-    /// `Σ|w|` over segment `index`'s off-diagonal (flip + gather) terms —
-    /// the widening [`SpectralBound::with_exact_diagonal`] needs.
-    pub(crate) fn segment_offdiag_radius(&self, index: usize) -> f64 {
-        self.segments[index].offdiag_radius
     }
 
     /// Segment `index`'s weight-matrix row: one real coefficient per term in
@@ -559,13 +594,43 @@ impl CompiledSchedule {
         Arc::ptr_eq(&self.layouts, &other.layouts)
     }
 
-    /// Whether segment `index` wants its diagonal terms folded into a table
-    /// (same thresholds as
-    /// [`CompiledHamiltonian`](crate::compiled::CompiledHamiltonian)).
-    pub(crate) fn wants_diag_table(&self, index: usize) -> bool {
-        self.layouts[self.segments[index].layout].diag_masks.len()
-            >= crate::compiled::DIAG_TABLE_MIN_TERMS
-            && self.num_qubits <= crate::compiled::DIAG_TABLE_MAX_QUBITS
+    /// Segment `index`'s terms as weighted mask triples, in the source
+    /// Hamiltonian's canonical term order.
+    pub(crate) fn segment_terms(&self, index: usize) -> impl Iterator<Item = CompiledTerm> + '_ {
+        let layout = &self.layouts[self.segments[index].layout];
+        let row = self.segment_weight_row(index);
+        layout
+            .strings
+            .iter()
+            .zip(&layout.slots)
+            .map(move |(string, &slot)| CompiledTerm::compile(row[slot], string))
+    }
+
+    /// Readies segment `index` for one kernel pass: materializes its
+    /// diagonal table into `scratch` when the segment has at least
+    /// [`DIAG_TABLE_MIN_TERMS`] diagonal terms on at most
+    /// [`DIAG_TABLE_MAX_QUBITS`] qubits, and returns the table to hand
+    /// [`segment_kernel`](CompiledSchedule::segment_kernel) (empty when the
+    /// diagonal terms run on the fly) together with the segment's
+    /// [`SpectralBound`] — tightened by the table's exact range through
+    /// [`SpectralBound::with_exact_diagonal`] whenever the table exists.
+    pub(crate) fn prepare_segment<'s>(
+        &self,
+        index: usize,
+        scratch: &'s mut DiagTableScratch,
+    ) -> (&'s [f64], SpectralBound) {
+        let segment = &self.segments[index];
+        let wants_table = self.layouts[segment.layout].diag_masks.len() >= DIAG_TABLE_MIN_TERMS
+            && self.num_qubits <= DIAG_TABLE_MAX_QUBITS;
+        if !wants_table {
+            return (&[], segment.bound);
+        }
+        self.update_diag_table(index, scratch);
+        let (diag_min, diag_max) = scratch.range;
+        let bound = segment
+            .bound
+            .with_exact_diagonal(diag_min, diag_max, segment.offdiag_radius);
+        (&scratch.table, bound)
     }
 
     /// Materializes segment `index`'s diagonal table into `scratch`, reusing
@@ -643,10 +708,9 @@ impl CompiledSchedule {
     /// The fused-kernel view of segment `index`: masks borrowed from the
     /// shared layout, weights from the segment's weight-matrix row.
     ///
-    /// `diag_table` must be the table materialized by
-    /// [`update_diag_table`](CompiledSchedule::update_diag_table) when
-    /// [`wants_diag_table`](CompiledSchedule::wants_diag_table) is set, and
-    /// empty otherwise — in which case the diagonal terms are evaluated on
+    /// `diag_table` is the table
+    /// [`prepare_segment`](CompiledSchedule::prepare_segment) returned for
+    /// this segment; when it is empty the diagonal terms are evaluated on
     /// the fly inside the kernel.
     pub(crate) fn segment_kernel<'a>(
         &'a self,
@@ -995,7 +1059,7 @@ mod tests {
         assert!((bound.center - 0.4).abs() < 1e-15);
         assert!((bound.radius - 2.2).abs() < 1e-15);
         assert_eq!(bound.step_strength, schedule.segment_step_strength(0));
-        assert!((schedule.segment_offdiag_radius(0) - 0.7).abs() < 1e-15);
+        assert!((schedule.segments[0].offdiag_radius - 0.7).abs() < 1e-15);
     }
 
     #[test]

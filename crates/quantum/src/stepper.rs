@@ -623,28 +623,6 @@ pub struct SpectralBound {
 }
 
 impl SpectralBound {
-    /// Builds the bound from compiled `(x_mask, z_mask, weight)` triples.
-    pub(crate) fn from_compiled_terms(
-        terms: impl Iterator<Item = (usize, usize, Complex)>,
-        step_strength: f64,
-    ) -> Self {
-        let mut center = 0.0;
-        let mut radius = 0.0;
-        for (x_mask, z_mask, weight) in terms {
-            if x_mask == 0 && z_mask == 0 {
-                // Identity terms have no Y factors, so the weight is real.
-                center += weight.re;
-            } else {
-                radius += weight.abs();
-            }
-        }
-        SpectralBound {
-            center,
-            radius,
-            step_strength,
-        }
-    }
-
     /// Tightens the enclosure with the **exact** diagonal spectrum: for
     /// `H = D + O` (diagonal part `D`, off-diagonal part `O`), every
     /// eigenvalue lies in `[min(D) − ‖O‖, max(D) + ‖O‖]` by Weyl's
@@ -1015,7 +993,7 @@ impl Stepper for TaylorStepper {
 /// * **Fused first-and-second-order update.** Because the first application
 ///   could not accumulate into the state it was reading, its first-order
 ///   term is retired one pass later, fused with the second-order term in a
-///   single traversal ([`FusedKernel::apply_accumulate_both_into`] —
+///   single traversal ([`FusedKernel::apply_accumulate_both_into_with`] —
 ///   `ψ += f₁·Hψ + f₂·H²ψ`; the `Hψ` element is already loaded for the
 ///   gathers, so the extra accumulation is free). Higher orders proceed
 ///   exactly as the per-segment path does.

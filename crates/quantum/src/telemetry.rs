@@ -129,8 +129,9 @@ pub struct ScheduleSpan {
 /// Per-segment span: backend decision plus cost-model estimate vs. actuals.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SegmentSpan {
-    /// Segment index within the schedule, or `None` for the constant-`H`
-    /// single-segment path (`try_evolve_in_place`).
+    /// Segment index within the schedule (a constant Hamiltonian runs as
+    /// segment `0`); `None` when the span was not recorded against a
+    /// schedule.
     pub index: Option<usize>,
     /// Backend that (finally) integrated the segment, after any Auto
     /// demotion or recovery fallback.
@@ -210,7 +211,7 @@ pub enum SpanEvent {
     Compile(CompileSpan),
     /// Full schedule evolution.
     Schedule(ScheduleSpan),
-    /// One schedule segment (or the constant-`H` pseudo-segment).
+    /// One schedule segment (a constant Hamiltonian is segment `0`).
     Segment(SegmentSpan),
     /// Cumulative per-backend work counters.
     Stepper(StepperSpan),
@@ -497,7 +498,7 @@ impl TraceSink for Recorder {
 /// One row of the per-segment profile table.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SegmentProfile {
-    /// Segment index (`None` for the constant-`H` path).
+    /// Segment index (see [`SegmentSpan::index`]).
     pub index: Option<usize>,
     /// Backend that integrated the segment.
     pub backend: StepperKind,

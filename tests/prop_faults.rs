@@ -15,9 +15,9 @@
 //! Panicking and silently returning wrong amplitudes are both failures of
 //! the harness — the first fails the test process, the second the 1e-10
 //! comparison. A second grid drives the invalid-input taxonomy (NaN time,
-//! zero shots, out-of-range readout error, empty device schedules,
-//! mismatched register widths) through every backend and asserts the typed
-//! [`EvolveError::InvalidInput`] contract.
+//! bad segment durations, zero shots, out-of-range readout error, empty
+//! device schedules, mismatched register widths) through every backend and
+//! asserts the typed [`EvolveError::InvalidInput`] contract.
 
 use qturbo_hamiltonian::{Hamiltonian, Pauli, PauliString};
 use qturbo_math::MathError;
@@ -209,37 +209,60 @@ fn fault_grid_recovers_or_errors_never_lies() {
     }
 }
 
-/// State-corrupting faults must *always* recover on the schedule path: the
-/// boundary snapshot plus the consume-once fault registry guarantee the
-/// Taylor retry sees clean data.
+/// State-corrupting faults must *always* recover: the boundary snapshot plus
+/// the consume-once fault registry guarantee the Taylor retry sees clean
+/// data. This holds on the schedule path and on the constant-Hamiltonian
+/// path, which runs as a one-segment schedule (its faults armed on segment
+/// 0).
 #[test]
 fn amplitude_corruption_always_recovers_exactly() {
     let segments = grid_segments();
     let schedule = CompiledSchedule::compile(&segments);
+    let (hamiltonian, duration) = &segments[0];
+    let constant = CompiledHamiltonian::compile(hamiltonian);
+    let run_schedule = |propagator: &mut Propagator, state: &mut StateVector| {
+        propagator.try_evolve_schedule_in_place(&schedule, state)
+    };
+    let run_constant = |propagator: &mut Propagator, state: &mut StateVector| {
+        propagator.try_evolve_in_place(&constant, state, *duration)
+    };
+    type Run<'a> = &'a dyn Fn(&mut Propagator, &mut StateVector) -> Result<(), EvolveError>;
+    let paths: [(&str, usize, Run); 2] = [
+        ("schedule", FAULT_SEGMENT, &run_schedule),
+        ("constant H", 0, &run_constant),
+    ];
     for kind in every_kind() {
-        let reference = clean_reference(&schedule, kind);
-        for fault in [
-            Fault::NanAmplitude,
-            Fault::InfAmplitude,
-            Fault::AmplitudeSpike { factor: 1e8 },
-        ] {
-            let mut propagator = Propagator::with_options(EvolveOptions::new(kind));
-            propagator.set_fault_injector(Some(
-                FaultInjector::new(SEED).with_fault(FAULT_SEGMENT, fault.clone()),
-            ));
-            let mut state = StateVector::plus_state(3);
-            propagator
-                .try_evolve_schedule_in_place(&schedule, &mut state)
-                .unwrap_or_else(|error| {
-                    panic!("{} x {fault:?} failed to recover: {error}", kind.name())
+        for (path, segment, run) in paths {
+            let mut reference = StateVector::plus_state(3);
+            let mut clean = Propagator::with_options(EvolveOptions::new(kind));
+            run(&mut clean, &mut reference).expect("clean evolution succeeds");
+            assert!(clean.recovery_log().is_empty());
+            for fault in [
+                Fault::NanAmplitude,
+                Fault::InfAmplitude,
+                Fault::AmplitudeSpike { factor: 1e8 },
+            ] {
+                let mut propagator = Propagator::with_options(EvolveOptions::new(kind));
+                propagator.set_fault_injector(Some(
+                    FaultInjector::new(SEED).with_fault(segment, fault.clone()),
+                ));
+                let mut state = StateVector::plus_state(3);
+                run(&mut propagator, &mut state).unwrap_or_else(|error| {
+                    panic!(
+                        "{} x {fault:?} [{path}] failed to recover: {error}",
+                        kind.name()
+                    )
                 });
-            assert_amplitudes_match(kind, &fault, &state, &reference);
-            assert_eq!(
-                propagator.recovery_log().len(),
-                1,
-                "{} x {fault:?}: expected exactly one recovery",
-                kind.name()
-            );
+                assert_amplitudes_match(kind, &fault, &state, &reference);
+                let events = propagator.recovery_log().events();
+                assert_eq!(
+                    events.len(),
+                    1,
+                    "{} x {fault:?} [{path}]: expected exactly one recovery",
+                    kind.name()
+                );
+                assert_eq!(events[0].segment, Some(segment));
+            }
         }
     }
 }
@@ -389,14 +412,40 @@ fn auto_demotes_a_failing_backend_for_the_rest_of_the_schedule() {
 }
 
 /// Invalid-input conformance: NaN/negative/infinite times are typed
-/// [`EvolveError::InvalidInput`]s under every backend, on both the
-/// constant-Hamiltonian and free-function paths.
+/// [`EvolveError::InvalidInput`]s under every backend, on the
+/// constant-Hamiltonian, free-function, and piecewise paths (where a bad
+/// time is a bad segment duration).
 #[test]
 fn invalid_times_are_typed_errors_under_every_backend() {
     let (hamiltonian, _) = &grid_segments()[0];
     let compiled = CompiledHamiltonian::compile(hamiltonian);
     for kind in every_kind() {
         for time in [f64::NAN, -1.0, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut segments = grid_segments();
+            segments[FAULT_SEGMENT].1 = time;
+            let initial = StateVector::plus_state(3);
+            for (path, result) in [
+                (
+                    "try_evolve_piecewise",
+                    qturbo_quantum::propagate::try_evolve_piecewise(&initial, &segments),
+                ),
+                (
+                    "try_evolve_piecewise_with",
+                    qturbo_quantum::propagate::try_evolve_piecewise_with(
+                        &initial,
+                        &segments,
+                        EvolveOptions::new(kind),
+                    ),
+                ),
+            ] {
+                assert!(
+                    matches!(&result, Err(EvolveError::InvalidInput { context })
+                        if context.contains("non-negative")),
+                    "{} x {path} duration {time}: {result:?}",
+                    kind.name()
+                );
+            }
+
             let mut propagator = Propagator::with_options(EvolveOptions::new(kind));
             let mut state = StateVector::plus_state(3);
             let error = propagator
@@ -421,7 +470,8 @@ fn invalid_times_are_typed_errors_under_every_backend() {
 }
 
 /// Invalid-input conformance on the device: zero shots, out-of-range
-/// readout error, and empty schedules are typed errors under every backend.
+/// readout error, empty schedules, and bad segment durations are typed
+/// errors under every backend.
 #[test]
 fn invalid_device_inputs_are_typed_errors_under_every_backend() {
     let segments = grid_segments();
@@ -466,6 +516,24 @@ fn invalid_device_inputs_are_typed_errors_under_every_backend() {
             "{}: {error}",
             kind.name()
         );
+
+        for duration in [f64::NAN, -1.0, f64::INFINITY] {
+            let mut bad_duration = segments.clone();
+            bad_duration[FAULT_SEGMENT].1 = duration;
+            let device = EmulatedDevice::new(NoiseModel::aquila_like(), 1).with_options(options);
+            let single = device.try_run(&bad_duration, 3, false).map(|_| ());
+            let sweep = device
+                .try_run_realizations(&bad_duration, 3, false, 2)
+                .map(|_| ());
+            for (path, result) in [("try_run", single), ("try_run_realizations", sweep)] {
+                assert!(
+                    matches!(&result, Err(EvolveError::InvalidInput { context })
+                        if context.contains("non-negative")),
+                    "{} x {path} duration {duration}: {result:?}",
+                    kind.name()
+                );
+            }
+        }
     }
 }
 
