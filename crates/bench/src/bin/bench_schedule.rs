@@ -26,7 +26,7 @@
 //! utilization) from one extra untimed traced run.
 
 use qturbo_bench::telemetry_report::{telemetry_json, traced_profile};
-use qturbo_bench::timing::{achieved_bytes_per_sec, bench, Json, Sample};
+use qturbo_bench::timing::{achieved_bytes_per_sec, bench, bench_interleaved, Json, Sample};
 use qturbo_hamiltonian::models::mis_chain;
 use qturbo_hamiltonian::{Hamiltonian, Pauli, PauliString, PiecewiseHamiltonian};
 use qturbo_quantum::compiled::CompiledHamiltonian;
@@ -224,32 +224,38 @@ struct DenseResult {
     final_state: StateVector,
 }
 
-fn run_dense_backend(
+/// Evolves `schedule` from `|0…0⟩` on a fresh propagator per option set:
+/// one untimed run for the work counters and final state, then every
+/// propagator timed round-robin ([`bench_interleaved`]), so the wall gates
+/// compare measurements taken over the same stretch of time.
+fn run_dense_backends<const N: usize>(
     schedule: &CompiledSchedule,
     qubits: usize,
-    kind: StepperKind,
+    options: [EvolveOptions; N],
     reps: usize,
-) -> DenseResult {
-    // Telemetry explicitly off: the gated measurements must stay untraced
-    // even when `QTURBO_TRACE=1` flips the process-wide default.
-    let mut propagator = Propagator::with_options(EvolveOptions::new(kind).with_telemetry(false));
-    let mut state = StateVector::zero_state(qubits);
-    propagator.evolve_schedule_in_place(schedule, &mut state);
-    let kernel_applications = propagator.kernel_applications();
-    let state_passes = propagator.state_passes();
-    let final_state = state.clone();
-    let sample = bench(reps, || {
+) -> [DenseResult; N] {
+    let mut propagators = options.map(Propagator::with_options);
+    let mut results = propagators.each_mut().map(|propagator| {
+        let mut state = StateVector::zero_state(qubits);
+        propagator.evolve_schedule_in_place(schedule, &mut state);
+        DenseResult {
+            kernel_applications: propagator.kernel_applications(),
+            state_passes: propagator.state_passes(),
+            wall_median_s: 0.0,
+            wall_min_s: 0.0,
+            final_state: state,
+        }
+    });
+    let samples = bench_interleaved(reps, &mut propagators, |propagator| {
         let mut state = StateVector::zero_state(qubits);
         propagator.evolve_schedule_in_place(schedule, &mut state);
         std::hint::black_box(&state);
     });
-    DenseResult {
-        kernel_applications,
-        state_passes,
-        wall_median_s: sample.median,
-        wall_min_s: sample.min,
-        final_state,
+    for (result, sample) in results.iter_mut().zip(samples) {
+        result.wall_median_s = sample.median;
+        result.wall_min_s = sample.min;
     }
+    results
 }
 
 /// The dense-ramp workload: a long train of tiny same-layout segments
@@ -266,9 +272,19 @@ fn dense_ramp_entry(qubits: usize, segments: usize) -> Json {
     let batch_runs = schedule.batch_runs();
     let reps = reps_for(qubits);
 
-    let taylor = run_dense_backend(&schedule, qubits, StepperKind::Taylor, reps);
-    let batched = run_dense_backend(&schedule, qubits, StepperKind::BatchedTaylor, reps);
-    let auto = run_dense_backend(&schedule, qubits, StepperKind::Auto, reps);
+    // Telemetry explicitly off: the gated measurements must stay untraced
+    // even when `QTURBO_TRACE=1` flips the process-wide default.
+    let untraced = |kind| EvolveOptions::new(kind).with_telemetry(false);
+    let [taylor, batched, auto] = run_dense_backends(
+        &schedule,
+        qubits,
+        [
+            untraced(StepperKind::Taylor),
+            untraced(StepperKind::BatchedTaylor),
+            untraced(StepperKind::Auto),
+        ],
+        reps,
+    );
 
     let max_deviation = batched
         .final_state
@@ -321,8 +337,8 @@ fn dense_ramp_entry(qubits: usize, segments: usize) -> Json {
 
     // --- The traced gate: the batched wall bound must also hold with
     // telemetry ON, proving tracing stays off the hot path. A fresh
-    // untraced measurement and a traced one run back to back — same code
-    // path modulo telemetry, no thermal/load drift between windows (the
+    // untraced measurement and a traced one are timed round-robin — same
+    // code path modulo telemetry, no thermal/load drift between them (the
     // `taylor`/`batched` samples above are minutes old by now, so comparing
     // against them would gate on machine drift, not tracing cost). Chained
     // with the batched-vs-taylor gate above, this keeps the dense-ramp
@@ -333,31 +349,24 @@ fn dense_ramp_entry(qubits: usize, segments: usize) -> Json {
         StepperKind::BatchedTaylor,
         |propagator, state| propagator.evolve_schedule_in_place(&schedule, state),
     );
-    let mut untraced_propagator = Propagator::with_options(
-        EvolveOptions::new(StepperKind::BatchedTaylor).with_telemetry(false),
+    let [untraced_batched, traced_batched] = run_dense_backends(
+        &schedule,
+        qubits,
+        [
+            untraced(StepperKind::BatchedTaylor),
+            EvolveOptions::new(StepperKind::BatchedTaylor).with_telemetry(true),
+        ],
+        reps,
     );
-    let untraced_sample = bench(reps, || {
-        let mut state = StateVector::zero_state(qubits);
-        untraced_propagator.evolve_schedule_in_place(&schedule, &mut state);
-        std::hint::black_box(&state);
-    });
-    let mut traced_propagator = Propagator::with_options(
-        EvolveOptions::new(StepperKind::BatchedTaylor).with_telemetry(true),
-    );
-    let traced_sample = bench(reps, || {
-        let mut state = StateVector::zero_state(qubits);
-        traced_propagator.evolve_schedule_in_place(&schedule, &mut state);
-        std::hint::black_box(&state);
-    });
     println!(
         "  dense {qubits:>2}q x {segments:>4}  traced batched {:>9.4}s (gate: <= untraced {:.4}s + 2ms)",
-        traced_sample.min, untraced_sample.min
+        traced_batched.wall_min_s, untraced_batched.wall_min_s
     );
     assert!(
-        traced_sample.min <= untraced_sample.min + 0.002,
-        "{qubits}q dense ramp: TRACED batched ({:.4}s) slower than the back-to-back untraced run ({:.4}s)",
-        traced_sample.min,
-        untraced_sample.min
+        traced_batched.wall_min_s <= untraced_batched.wall_min_s + 0.002,
+        "{qubits}q dense ramp: TRACED batched ({:.4}s) slower than the interleaved untraced run ({:.4}s)",
+        traced_batched.wall_min_s,
+        untraced_batched.wall_min_s
     );
 
     let backend_json = |name: &str, r: &DenseResult| {
@@ -389,10 +398,13 @@ fn dense_ramp_entry(qubits: usize, segments: usize) -> Json {
         ("pass_ratio", Json::Number(pass_ratio)),
         ("wall_speedup_batched_vs_taylor", Json::Number(wall_speedup)),
         ("max_abs_dev_batched_vs_taylor", Json::Number(max_deviation)),
-        ("traced_batched_wall_min_s", Json::Number(traced_sample.min)),
+        (
+            "traced_batched_wall_min_s",
+            Json::Number(traced_batched.wall_min_s),
+        ),
         (
             "retimed_untraced_batched_wall_min_s",
-            Json::Number(untraced_sample.min),
+            Json::Number(untraced_batched.wall_min_s),
         ),
         (
             "telemetry",

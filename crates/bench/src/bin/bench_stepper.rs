@@ -28,7 +28,7 @@
 //! traced run.
 
 use qturbo_bench::telemetry_report::{telemetry_json, traced_profile};
-use qturbo_bench::timing::{achieved_bytes_per_sec, bench, Json};
+use qturbo_bench::timing::{achieved_bytes_per_sec, bench_interleaved, Json};
 use qturbo_hamiltonian::models::{heisenberg_chain, mis_chain};
 use qturbo_hamiltonian::Hamiltonian;
 use qturbo_math::Complex;
@@ -128,51 +128,53 @@ fn backend_json(result: &BackendResult, reference: &StateVector) -> Json {
 
 /// Runs every backend (fixed plus `auto`) over `evolve`, returning
 /// per-backend work, timing, and — for `auto` — the per-segment decisions.
+/// The backends are timed round-robin ([`bench_interleaved`]), so the wall
+/// gates compare measurements taken over the same stretch of time.
 fn run_backends(
     reps: usize,
     initial: &StateVector,
     mut evolve: impl FnMut(&mut Propagator, &mut StateVector),
-) -> Vec<BackendResult> {
-    StepperKind::all()
-        .into_iter()
-        .map(|kind| {
-            // Telemetry explicitly off: the gated measurements must stay
-            // untraced even when `QTURBO_TRACE=1` flips the default.
-            let mut propagator =
-                Propagator::with_options(EvolveOptions::new(kind).with_telemetry(false));
-            // Count kernel applications (and decisions) on one untimed run.
-            let mut state = initial.clone();
-            evolve(&mut propagator, &mut state);
-            let kernel_applications = propagator.kernel_applications();
-            let state_passes = propagator.state_passes();
-            let decisions = (kind == StepperKind::Auto).then(|| {
-                let mut counts = [0u64; 4];
-                for decision in propagator.segment_decisions() {
-                    let slot = StepperKind::fixed()
-                        .into_iter()
-                        .position(|fixed| fixed == *decision)
-                        .expect("decisions are fixed backends");
-                    counts[slot] += 1;
-                }
-                counts
-            });
-            let final_state = state.clone();
-            let sample = bench(reps, || {
-                let mut state = initial.clone();
-                evolve(&mut propagator, &mut state);
-                std::hint::black_box(&state);
-            });
-            BackendResult {
-                kind,
-                kernel_applications,
-                state_passes,
-                wall_median_s: sample.median,
-                wall_min_s: sample.min,
-                final_state,
-                decisions,
+) -> [BackendResult; 5] {
+    // Telemetry explicitly off: the gated measurements must stay untraced
+    // even when `QTURBO_TRACE=1` flips the default.
+    let mut propagators = StepperKind::all()
+        .map(|kind| Propagator::with_options(EvolveOptions::new(kind).with_telemetry(false)));
+    let mut results = propagators.each_mut().map(|propagator| {
+        // Count kernel applications (and decisions) on one untimed run.
+        let kind = propagator.options().stepper;
+        let mut state = initial.clone();
+        evolve(propagator, &mut state);
+        let decisions = (kind == StepperKind::Auto).then(|| {
+            let mut counts = [0u64; 4];
+            for decision in propagator.segment_decisions() {
+                let slot = StepperKind::fixed()
+                    .into_iter()
+                    .position(|fixed| fixed == *decision)
+                    .expect("decisions are fixed backends");
+                counts[slot] += 1;
             }
-        })
-        .collect()
+            counts
+        });
+        BackendResult {
+            kind,
+            kernel_applications: propagator.kernel_applications(),
+            state_passes: propagator.state_passes(),
+            wall_median_s: 0.0,
+            wall_min_s: 0.0,
+            final_state: state,
+            decisions,
+        }
+    });
+    let samples = bench_interleaved(reps, &mut propagators, |propagator| {
+        let mut state = initial.clone();
+        evolve(propagator, &mut state);
+        std::hint::black_box(&state);
+    });
+    for (result, sample) in results.iter_mut().zip(samples) {
+        result.wall_median_s = sample.median;
+        result.wall_min_s = sample.min;
+    }
+    results
 }
 
 fn print_backends(results: &[BackendResult]) {

@@ -3,8 +3,11 @@
 //! No external benchmark framework is vendored in this environment, so the
 //! micro-benchmarks and the `BENCH_*.json` emitters use this from-scratch
 //! substitute: warm up once, run a closure `reps` times, and report
-//! min/median/mean seconds. The JSON writer covers exactly the subset the
-//! reports need (objects, arrays, strings, finite numbers, null).
+//! min/median/mean seconds. The subjects a gate compares are timed together
+//! by [`bench_interleaved`], so slow drift on the host (load, clock
+//! frequency) lands on every side of the comparison alike. The JSON writer
+//! covers exactly the subset the reports need (objects, arrays, strings,
+//! finite numbers, null).
 
 use std::time::Instant;
 
@@ -22,27 +25,63 @@ pub struct Sample {
     pub reps: usize,
 }
 
-/// Times `f` over `reps` repetitions (after one untimed warm-up run).
+/// Times `f` over `reps` repetitions (after one untimed warm-up run): the
+/// one-subject case of [`bench_interleaved`].
 ///
 /// # Panics
 ///
 /// Panics if `reps` is zero.
 pub fn bench<F: FnMut()>(reps: usize, mut f: F) -> Sample {
+    bench_interleaved(reps, &mut [()], |_| f())[0]
+}
+
+/// Times `run` on each of `subjects` round-robin over `reps` rounds, after
+/// one untimed warm-up run of each, and returns one [`Sample`] per subject
+/// in input order.
+///
+/// Each round runs every subject once; odd rounds run them in reverse
+/// order, so no subject always runs first (on a cold cache) or right after
+/// the same neighbour. Comparing the resulting samples compares
+/// measurements taken over the same stretch of wall time.
+///
+/// # Panics
+///
+/// Panics if `reps` is zero.
+pub fn bench_interleaved<T>(
+    reps: usize,
+    subjects: &mut [T],
+    mut run: impl FnMut(&mut T),
+) -> Vec<Sample> {
     assert!(reps > 0, "need at least one repetition");
-    f(); // Warm-up: page in buffers, populate caches.
-    let mut times = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let start = Instant::now();
-        f();
-        times.push(start.elapsed().as_secs_f64());
+    for subject in subjects.iter_mut() {
+        run(subject); // Warm-up: page in buffers, populate caches.
     }
-    times.sort_by(|a, b| a.total_cmp(b));
-    Sample {
-        min: times[0],
-        median: times[times.len() / 2],
-        mean: times.iter().sum::<f64>() / times.len() as f64,
-        reps,
+    let count = subjects.len();
+    let mut times = vec![Vec::with_capacity(reps); count];
+    for round in 0..reps {
+        for slot in 0..count {
+            let k = if round % 2 == 0 {
+                slot
+            } else {
+                count - 1 - slot
+            };
+            let start = Instant::now();
+            run(&mut subjects[k]);
+            times[k].push(start.elapsed().as_secs_f64());
+        }
     }
+    times
+        .into_iter()
+        .map(|mut times| {
+            times.sort_by(|a, b| a.total_cmp(b));
+            Sample {
+                min: times[0],
+                median: times[times.len() / 2],
+                mean: times.iter().sum::<f64>() / times.len() as f64,
+                reps,
+            }
+        })
+        .collect()
 }
 
 /// Achieved amplitude traffic of one workload: `passes` state-sized
@@ -182,6 +221,16 @@ mod tests {
         assert_eq!(count, 6); // warm-up + 5 timed
         assert!(sample.min <= sample.median);
         assert!(sample.min >= 0.0);
+    }
+
+    #[test]
+    fn bench_interleaved_alternates_the_round_order() {
+        let mut calls = Vec::new();
+        let samples = bench_interleaved(3, &mut [0, 1], |&mut k| calls.push(k));
+        assert_eq!(samples.len(), 2);
+        assert!(samples.iter().all(|s| s.reps == 3 && s.min <= s.median));
+        // Warm-up, then rounds forward, reversed, forward.
+        assert_eq!(calls, [0, 1, 0, 1, 1, 0, 0, 1]);
     }
 
     #[test]

@@ -5,12 +5,11 @@
 //! kernels that the compiler (and the SimuQ-style baseline) need:
 //!
 //! * dense real [`Matrix`] / [`Vector`] arithmetic and norms,
-//! * exact and least-squares linear solvers ([`lu`], [`qr`], [`linear`]),
+//! * exact and least-squares linear solvers ([`lu`], [`linear`]),
 //! * minimum-norm solutions of under-determined systems ([`linear::min_norm_solve`]),
 //! * nonlinear least squares with box constraints ([`levenberg::LevenbergMarquardt`]),
 //! * derivative-free minimization ([`nelder_mead::NelderMead`]),
 //! * L1-norm regression via iteratively re-weighted least squares ([`l1`]),
-//! * scalar root finding ([`roots`]),
 //! * a symmetric-tridiagonal eigensolver ([`tridiag`]) for the Lanczos–Krylov
 //!   propagator's projected exponentials,
 //! * Bessel functions and Chebyshev expansion coefficients of the complex
@@ -44,9 +43,7 @@ pub mod linear;
 pub mod lu;
 pub mod matrix;
 pub mod nelder_mead;
-pub mod qr;
 pub mod rng;
-pub mod roots;
 pub mod tridiag;
 pub mod vector;
 

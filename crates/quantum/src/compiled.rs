@@ -33,19 +33,17 @@
 //! [`crate::exec`] layer, which splits the output into contiguous
 //! lane-aligned chunks handled by the persistent worker pool above the
 //! configured parallel threshold (reads gather from the shared input), and
-//! dispatches each chunk to either the SIMD **lane path** (blocks of
-//! [`LANE_WIDTH`] amplitudes in
-//! [`F64x8`] registers) or the scalar reference path —
-//! see [`ExecutionContext`].
+//! runs each chunk through the SIMD **lane kernels**: blocks of
+//! [`LANE_WIDTH`] amplitudes in [`F64x8`] registers, with a per-amplitude
+//! tail loop for states smaller than one block — see [`ExecutionContext`].
 //!
 //! The naive per-qubit reference implementation is retained as
 //! [`StateVector::apply_pauli_string`](crate::StateVector::apply_pauli_string)
-//! and [`crate::propagate::apply_hamiltonian_naive`]; the property tests in
-//! `tests/prop_propagation.rs` pin the two paths together, and the scalar
-//! element loop here is in turn the conformance reference the lane path is
-//! pinned against.
+//! and [`crate::propagate::apply_hamiltonian_naive`]; it is the one
+//! conformance reference of the kernels here (the unit tests below and
+//! `tests/prop_propagation.rs` pin the two together).
 
-use crate::exec::{self, ExecutionContext, F64x4, F64x8, KernelPath, LANE_WIDTH};
+use crate::exec::{self, ExecutionContext, F64x4, F64x8, LANE_WIDTH};
 use crate::schedule::{CompiledSchedule, DiagTableScratch};
 use crate::state::{RealizationBlock, StateVector};
 use crate::stepper::SpectralBound;
@@ -263,7 +261,8 @@ impl CompiledHamiltonian {
     }
 
     /// Strength used to size Taylor steps (`‖c‖₁ + max|c|`, matching the
-    /// scalar reference path so both produce identical step counts).
+    /// naive reference [`crate::propagate::evolve_naive`] so both produce
+    /// identical step counts).
     pub fn step_strength(&self) -> f64 {
         self.bound.step_strength
     }
@@ -323,6 +322,12 @@ impl CompiledHamiltonian {
 /// It is also the segment handle the [`crate::stepper::Stepper`] backends
 /// evolve through: a stepper receives one `FusedKernel` per segment and
 /// drives however many `H|ψ⟩` applications its integration scheme needs.
+///
+/// There is one implementation, the lane kernels: every state runs in
+/// blocks of [`LANE_WIDTH`] amplitudes, and the amplitudes past the last
+/// full block (a state smaller than one block) run one at a time. Its
+/// conformance reference is the naive per-term apply,
+/// [`crate::propagate::apply_hamiltonian_naive`].
 #[derive(Clone, Copy)]
 pub struct FusedKernel<'a> {
     pub(crate) num_qubits: usize,
@@ -355,7 +360,9 @@ impl FusedKernel<'_> {
 
     /// One fused-kernel element: `H|ψ⟩` at output index `j`, assembled from
     /// the diagonal table (or on-the-fly diagonal terms), the pure-flip
-    /// terms, and the generic gathers.
+    /// terms, and the generic gathers. The lane kernels run it on the
+    /// amplitudes past the last full block, which only a state smaller than
+    /// [`LANE_WIDTH`] amplitudes has.
     #[inline(always)]
     fn element(&self, input: &[Complex], j: usize, diag_index_mask: usize) -> Complex {
         let mut acc = if self.diag_table.is_empty() {
@@ -378,79 +385,7 @@ impl FusedKernel<'_> {
         acc
     }
 
-    /// The fused kernel over output indices `offset .. offset + out.len()`:
-    /// one write pass, returns the chunk's squared norm.
-    fn apply_range(&self, input: &[Complex], out: &mut [Complex], offset: usize) -> f64 {
-        let diag_index_mask = self.diag_table.len().wrapping_sub(1);
-        let mut norm_sqr = 0.0;
-        for (k, slot) in out.iter_mut().enumerate() {
-            let acc = self.element(input, offset + k, diag_index_mask);
-            norm_sqr += acc.norm_sqr();
-            *slot = acc;
-        }
-        norm_sqr
-    }
-
-    /// [`apply_range`](Self::apply_range) with the Taylor accumulation fused
-    /// into the same pass: `target[j] += factor · out[j]`.
-    fn apply_accumulate_range(
-        &self,
-        input: &[Complex],
-        out: &mut [Complex],
-        target: &mut [Complex],
-        factor: Complex,
-        offset: usize,
-    ) -> f64 {
-        let diag_index_mask = self.diag_table.len().wrapping_sub(1);
-        let mut norm_sqr = 0.0;
-        for (k, (slot, target_slot)) in out.iter_mut().zip(target.iter_mut()).enumerate() {
-            let acc = self.element(input, offset + k, diag_index_mask);
-            norm_sqr += acc.norm_sqr();
-            *slot = acc;
-            *target_slot += factor * acc;
-        }
-        norm_sqr
-    }
-
-    /// [`apply_accumulate_range`](Self::apply_accumulate_range) with **two**
-    /// Taylor terms retired in the same pass: `target[j] += f_input ·
-    /// input[j] + f_out · out[j]`. The input element at `j` is already
-    /// loaded for the diagonal part of the gather work, so the extra
-    /// accumulation costs no additional memory traffic — this is how the
-    /// batched sweep fuses the first- and second-order updates of a step
-    /// into one traversal.
-    fn apply_accumulate_both_range(
-        &self,
-        input: &[Complex],
-        out: &mut [Complex],
-        target: &mut [Complex],
-        f_input: Complex,
-        f_out: Complex,
-        offset: usize,
-    ) -> f64 {
-        let diag_index_mask = self.diag_table.len().wrapping_sub(1);
-        let mut norm_sqr = 0.0;
-        for (k, (slot, target_slot)) in out.iter_mut().zip(target.iter_mut()).enumerate() {
-            let j = offset + k;
-            let acc = self.element(input, j, diag_index_mask);
-            norm_sqr += acc.norm_sqr();
-            *slot = acc;
-            *target_slot += f_input * input[j] + f_out * acc;
-        }
-        norm_sqr
-    }
-
-    // -- lane path ---------------------------------------------------------
-
-    /// `true` when the lane path can process this kernel/dimension: the
-    /// state must hold at least one full block, and a diagonal table (when
-    /// present) must cover at least one block so table lookups stay
-    /// contiguous. Otherwise the whole call falls back to the scalar path.
-    fn use_lanes(&self, context: &ExecutionContext, dim: usize) -> bool {
-        context.kernel_path() == KernelPath::Lane
-            && dim >= LANE_WIDTH
-            && (self.diag_table.is_empty() || self.diag_table.len() >= LANE_WIDTH)
-    }
+    // -- lane kernels ------------------------------------------------------
 
     /// One lane block of the fused kernel: `H|ψ⟩` at output indices
     /// `b .. b + LANE_WIDTH` (with `b` block-aligned), assembled in an
@@ -458,7 +393,10 @@ impl FusedKernel<'_> {
     ///
     /// Term classes lower as follows:
     ///
-    /// * diagonal table — contiguous table block × contiguous input block;
+    /// * diagonal table — contiguous table block × contiguous input block
+    ///   (the table is at least one block long: a register narrower than
+    ///   [`LANE_WIDTH`] amplitudes gets a tiled table, see
+    ///   `CompiledSchedule::update_diag_table`);
     /// * on-the-fly diagonal — per-lane mask parity into an [`F64x4`];
     /// * pure flips — contiguous block load at `b ^ (x_mask & !3)` followed
     ///   by an in-register XOR pair-permute for the low bits, × real weight;
@@ -501,9 +439,11 @@ impl FusedKernel<'_> {
         acc
     }
 
-    /// Lane twin of [`apply_range`](Self::apply_range): same contract, block
-    /// loop instead of element loop. Any non-block tail (never produced by
-    /// the lane-aligned chunk planner, kept for safety) runs scalar.
+    /// The fused kernel over output indices `offset .. offset + out.len()`:
+    /// one write pass in lane blocks, returns the chunk's squared norm. The
+    /// amplitudes past the last full block (the whole state below
+    /// [`LANE_WIDTH`] amplitudes; chunks are lane-aligned) run through
+    /// [`element`](Self::element).
     fn lane_apply_range(&self, input: &[Complex], out: &mut [Complex], offset: usize) -> f64 {
         let diag_index_mask = self.diag_table.len().wrapping_sub(1);
         let mut norm_acc = F64x8::ZERO;
@@ -521,7 +461,8 @@ impl FusedKernel<'_> {
         norm_sqr
     }
 
-    /// Lane twin of [`apply_accumulate_range`](Self::apply_accumulate_range).
+    /// [`lane_apply_range`](Self::lane_apply_range) with the Taylor
+    /// accumulation fused into the same pass: `target[j] += factor · out[j]`.
     fn lane_apply_accumulate_range(
         &self,
         input: &[Complex],
@@ -553,8 +494,12 @@ impl FusedKernel<'_> {
         norm_sqr
     }
 
-    /// Lane twin of
-    /// [`apply_accumulate_both_range`](Self::apply_accumulate_both_range).
+    /// [`lane_apply_accumulate_range`](Self::lane_apply_accumulate_range)
+    /// with **two** Taylor terms retired in the same pass: `target[j] +=
+    /// f_input · input[j] + f_out · out[j]`. The input block at `j` is
+    /// already loaded for the gather work, so the extra accumulation costs
+    /// no additional memory traffic — this is how the batched sweep fuses
+    /// the first- and second-order updates of a step into one traversal.
     #[allow(clippy::too_many_arguments)]
     fn lane_apply_accumulate_both_range(
         &self,
@@ -605,9 +550,8 @@ impl FusedKernel<'_> {
     }
 
     /// [`apply_into`](Self::apply_into) under an explicit
-    /// [`ExecutionContext`]: the context picks the kernel path (lane vs
-    /// scalar) and splits the output across the persistent worker pool above
-    /// its parallel threshold.
+    /// [`ExecutionContext`]: the context splits the output across the
+    /// persistent worker pool above its parallel threshold.
     ///
     /// # Panics
     ///
@@ -627,15 +571,9 @@ impl FusedKernel<'_> {
         let dim = input.dim();
         let input = input.amplitudes();
         let out = out.amplitudes_mut();
-        let lanes = self.use_lanes(context, dim);
         let (participants, chunk) = context.plan(dim);
         if participants <= 1 {
-            let norm_sqr = if lanes {
-                self.lane_apply_range(input, out, 0)
-            } else {
-                self.apply_range(input, out, 0)
-            };
-            return norm_sqr.sqrt();
+            return self.lane_apply_range(input, out, 0).sqrt();
         }
         // Each participant owns a contiguous chunk of the *output*; every
         // output index is written exactly once, so chunks never race. Reads
@@ -645,11 +583,7 @@ impl FusedKernel<'_> {
             let (start, len) = chunk_bounds(participant, chunk, dim);
             // SAFETY: participants own disjoint output ranges.
             let out_chunk = unsafe { shared_out.slice(start, len) };
-            if lanes {
-                self.lane_apply_range(input, out_chunk, start)
-            } else {
-                self.apply_range(input, out_chunk, start)
-            }
+            self.lane_apply_range(input, out_chunk, start)
         });
         norm_sqr.sqrt()
     }
@@ -680,15 +614,11 @@ impl FusedKernel<'_> {
         let input = input.amplitudes();
         let out = out.amplitudes_mut();
         let target = target.amplitudes_mut();
-        let lanes = self.use_lanes(context, dim);
         let (participants, chunk) = context.plan(dim);
         if participants <= 1 {
-            let norm_sqr = if lanes {
-                self.lane_apply_accumulate_range(input, out, target, factor, 0)
-            } else {
-                self.apply_accumulate_range(input, out, target, factor, 0)
-            };
-            return norm_sqr.sqrt();
+            return self
+                .lane_apply_accumulate_range(input, out, target, factor, 0)
+                .sqrt();
         }
         let shared_out = SharedAmps::new(out);
         let shared_target = SharedAmps::new(target);
@@ -697,11 +627,7 @@ impl FusedKernel<'_> {
             // SAFETY: participants own disjoint output/target ranges.
             let out_chunk = unsafe { shared_out.slice(start, len) };
             let target_chunk = unsafe { shared_target.slice(start, len) };
-            if lanes {
-                self.lane_apply_accumulate_range(input, out_chunk, target_chunk, factor, start)
-            } else {
-                self.apply_accumulate_range(input, out_chunk, target_chunk, factor, start)
-            }
+            self.lane_apply_accumulate_range(input, out_chunk, target_chunk, factor, start)
         });
         norm_sqr.sqrt()
     }
@@ -741,15 +667,11 @@ impl FusedKernel<'_> {
         let input = input.amplitudes();
         let out = out.amplitudes_mut();
         let target = target.amplitudes_mut();
-        let lanes = self.use_lanes(context, dim);
         let (participants, chunk) = context.plan(dim);
         if participants <= 1 {
-            let norm_sqr = if lanes {
-                self.lane_apply_accumulate_both_range(input, out, target, f_input, f_out, 0)
-            } else {
-                self.apply_accumulate_both_range(input, out, target, f_input, f_out, 0)
-            };
-            return norm_sqr.sqrt();
+            return self
+                .lane_apply_accumulate_both_range(input, out, target, f_input, f_out, 0)
+                .sqrt();
         }
         let shared_out = SharedAmps::new(out);
         let shared_target = SharedAmps::new(target);
@@ -758,25 +680,14 @@ impl FusedKernel<'_> {
             // SAFETY: participants own disjoint output/target ranges.
             let out_chunk = unsafe { shared_out.slice(start, len) };
             let target_chunk = unsafe { shared_target.slice(start, len) };
-            if lanes {
-                self.lane_apply_accumulate_both_range(
-                    input,
-                    out_chunk,
-                    target_chunk,
-                    f_input,
-                    f_out,
-                    start,
-                )
-            } else {
-                self.apply_accumulate_both_range(
-                    input,
-                    out_chunk,
-                    target_chunk,
-                    f_input,
-                    f_out,
-                    start,
-                )
-            }
+            self.lane_apply_accumulate_both_range(
+                input,
+                out_chunk,
+                target_chunk,
+                f_input,
+                f_out,
+                start,
+            )
         });
         norm_sqr.sqrt()
     }
@@ -808,6 +719,11 @@ impl FusedKernel<'_> {
 /// zero scales; every output lane only reads input lanes of the same
 /// realization index, so padding stays identically zero through any number
 /// of applications.
+///
+/// The stride is a lane multiple by construction, so the lane rows cover
+/// every realization and there is no per-element path. Its conformance
+/// reference is the sequential [`FusedKernel`] sweep: block and sequential
+/// device runs agree to 1e-10 (`tests/conformance_device.rs`).
 #[derive(Clone, Copy)]
 pub struct BlockKernel<'a> {
     pub(crate) num_qubits: usize,
@@ -840,37 +756,6 @@ impl BlockKernel<'_> {
             && self.diag_masks.is_empty()
             && self.flip_masks.is_empty()
             && self.gather_terms.is_empty()
-    }
-
-    /// One scalar element: `H_r|ψ_r⟩` at basis row `j`, realization lane
-    /// `r` — the conformance reference of the lane path below. The shared
-    /// unscaled element is assembled first, then scaled once by `s_r`.
-    #[inline(always)]
-    fn element(&self, input: &[Complex], j: usize, r: usize, diag_index_mask: usize) -> Complex {
-        let stride = self.stride;
-        let mut diag = if self.diag_table.is_empty() {
-            0.0
-        } else {
-            self.diag_table[j & diag_index_mask]
-        };
-        for (&z_mask, &weight) in self.diag_masks.iter().zip(self.diag_weights) {
-            let sign = 1.0 - 2.0 * ((j & z_mask).count_ones() & 1) as f64;
-            diag += sign * weight;
-        }
-        let has_diag = !self.diag_table.is_empty() || !self.diag_masks.is_empty();
-        let mut acc = if has_diag {
-            input[j * stride + r].scale(diag)
-        } else {
-            Complex::ZERO
-        };
-        for (&x_mask, &weight) in self.flip_masks.iter().zip(self.flip_weights) {
-            acc += input[(j ^ x_mask) * stride + r].scale(weight);
-        }
-        for (term, &weight) in self.gather_terms.iter().zip(self.gather_weights) {
-            let i = j ^ term.x_mask;
-            acc += (term.weight * input[i * stride + r]).scale(weight * term.sign(i));
-        }
-        acc.scale(self.scale_pairs[2 * r])
     }
 
     /// One lane block of the fused kernel: basis row `j`, realization lanes
@@ -1010,51 +895,32 @@ impl BlockKernel<'_> {
     /// The fused kernel over basis rows `row_offset ..` covering `out`
     /// (`out.len()` is a multiple of `stride`): one write pass, returns the
     /// chunk's squared norm summed over all realization lanes.
-    fn apply_rows(
-        &self,
-        input: &[Complex],
-        out: &mut [Complex],
-        row_offset: usize,
-        lanes: bool,
-    ) -> f64 {
+    fn apply_rows(&self, input: &[Complex], out: &mut [Complex], row_offset: usize) -> f64 {
         let stride = self.stride;
         let diag_index_mask = self.diag_table.len().wrapping_sub(1);
-        if lanes {
-            let mut norm_acc = F64x8::ZERO;
-            if stride.is_multiple_of(2 * LANE_WIDTH) {
-                for (k, row) in out.chunks_exact_mut(stride).enumerate() {
-                    let j = row_offset + k;
-                    for (pair, chunk) in row.chunks_exact_mut(2 * LANE_WIDTH).enumerate() {
-                        let accs =
-                            self.lane_row_pair(input, j, pair * 2 * LANE_WIDTH, diag_index_mask);
-                        for (n, acc) in accs.into_iter().enumerate() {
-                            norm_acc = norm_acc + acc * acc;
-                            store_block(acc, &mut chunk[n * LANE_WIDTH..]);
-                        }
-                    }
-                }
-            } else {
-                for (k, row) in out.chunks_exact_mut(stride).enumerate() {
-                    let j = row_offset + k;
-                    for (block, chunk) in row.chunks_exact_mut(LANE_WIDTH).enumerate() {
-                        let acc = self.lane_row(input, j, block * LANE_WIDTH, diag_index_mask);
+        let mut norm_acc = F64x8::ZERO;
+        if stride.is_multiple_of(2 * LANE_WIDTH) {
+            for (k, row) in out.chunks_exact_mut(stride).enumerate() {
+                let j = row_offset + k;
+                for (pair, chunk) in row.chunks_exact_mut(2 * LANE_WIDTH).enumerate() {
+                    let accs = self.lane_row_pair(input, j, pair * 2 * LANE_WIDTH, diag_index_mask);
+                    for (n, acc) in accs.into_iter().enumerate() {
                         norm_acc = norm_acc + acc * acc;
-                        store_block(acc, chunk);
+                        store_block(acc, &mut chunk[n * LANE_WIDTH..]);
                     }
                 }
             }
-            return norm_acc.horizontal_sum();
-        }
-        let mut norm_sqr = 0.0;
-        for (k, row) in out.chunks_exact_mut(stride).enumerate() {
-            let j = row_offset + k;
-            for (r, slot) in row.iter_mut().enumerate() {
-                let acc = self.element(input, j, r, diag_index_mask);
-                norm_sqr += acc.norm_sqr();
-                *slot = acc;
+        } else {
+            for (k, row) in out.chunks_exact_mut(stride).enumerate() {
+                let j = row_offset + k;
+                for (block, chunk) in row.chunks_exact_mut(LANE_WIDTH).enumerate() {
+                    let acc = self.lane_row(input, j, block * LANE_WIDTH, diag_index_mask);
+                    norm_acc = norm_acc + acc * acc;
+                    store_block(acc, chunk);
+                }
             }
         }
-        norm_sqr
+        norm_acc.horizontal_sum()
     }
 
     /// [`apply_rows`](Self::apply_rows) with the Taylor accumulation fused
@@ -1066,75 +932,56 @@ impl BlockKernel<'_> {
         target: &mut [Complex],
         factor: Complex,
         row_offset: usize,
-        lanes: bool,
     ) -> f64 {
         let stride = self.stride;
         let diag_index_mask = self.diag_table.len().wrapping_sub(1);
-        if lanes {
-            let mut norm_acc = F64x8::ZERO;
-            if stride.is_multiple_of(2 * LANE_WIDTH) {
-                for (k, (row, target_row)) in out
-                    .chunks_exact_mut(stride)
-                    .zip(target.chunks_exact_mut(stride))
+        let mut norm_acc = F64x8::ZERO;
+        if stride.is_multiple_of(2 * LANE_WIDTH) {
+            for (k, (row, target_row)) in out
+                .chunks_exact_mut(stride)
+                .zip(target.chunks_exact_mut(stride))
+                .enumerate()
+            {
+                let j = row_offset + k;
+                for (pair, (chunk, target_chunk)) in row
+                    .chunks_exact_mut(2 * LANE_WIDTH)
+                    .zip(target_row.chunks_exact_mut(2 * LANE_WIDTH))
                     .enumerate()
                 {
-                    let j = row_offset + k;
-                    for (pair, (chunk, target_chunk)) in row
-                        .chunks_exact_mut(2 * LANE_WIDTH)
-                        .zip(target_row.chunks_exact_mut(2 * LANE_WIDTH))
-                        .enumerate()
-                    {
-                        let accs =
-                            self.lane_row_pair(input, j, pair * 2 * LANE_WIDTH, diag_index_mask);
-                        for (n, acc) in accs.into_iter().enumerate() {
-                            let slot = &mut chunk[n * LANE_WIDTH..];
-                            norm_acc = norm_acc + acc * acc;
-                            store_block(acc, slot);
-                            let target_slot = &mut target_chunk[n * LANE_WIDTH..];
-                            let updated =
-                                load_block(target_slot, 0) + acc.mul_complex(factor.re, factor.im);
-                            store_block(updated, target_slot);
-                        }
-                    }
-                }
-            } else {
-                for (k, (row, target_row)) in out
-                    .chunks_exact_mut(stride)
-                    .zip(target.chunks_exact_mut(stride))
-                    .enumerate()
-                {
-                    let j = row_offset + k;
-                    for (block, (chunk, target_chunk)) in row
-                        .chunks_exact_mut(LANE_WIDTH)
-                        .zip(target_row.chunks_exact_mut(LANE_WIDTH))
-                        .enumerate()
-                    {
-                        let acc = self.lane_row(input, j, block * LANE_WIDTH, diag_index_mask);
+                    let accs = self.lane_row_pair(input, j, pair * 2 * LANE_WIDTH, diag_index_mask);
+                    for (n, acc) in accs.into_iter().enumerate() {
+                        let slot = &mut chunk[n * LANE_WIDTH..];
                         norm_acc = norm_acc + acc * acc;
-                        store_block(acc, chunk);
+                        store_block(acc, slot);
+                        let target_slot = &mut target_chunk[n * LANE_WIDTH..];
                         let updated =
-                            load_block(target_chunk, 0) + acc.mul_complex(factor.re, factor.im);
-                        store_block(updated, target_chunk);
+                            load_block(target_slot, 0) + acc.mul_complex(factor.re, factor.im);
+                        store_block(updated, target_slot);
                     }
                 }
             }
-            return norm_acc.horizontal_sum();
-        }
-        let mut norm_sqr = 0.0;
-        for (k, (row, target_row)) in out
-            .chunks_exact_mut(stride)
-            .zip(target.chunks_exact_mut(stride))
-            .enumerate()
-        {
-            let j = row_offset + k;
-            for (r, (slot, target_slot)) in row.iter_mut().zip(target_row.iter_mut()).enumerate() {
-                let acc = self.element(input, j, r, diag_index_mask);
-                norm_sqr += acc.norm_sqr();
-                *slot = acc;
-                *target_slot += factor * acc;
+        } else {
+            for (k, (row, target_row)) in out
+                .chunks_exact_mut(stride)
+                .zip(target.chunks_exact_mut(stride))
+                .enumerate()
+            {
+                let j = row_offset + k;
+                for (block, (chunk, target_chunk)) in row
+                    .chunks_exact_mut(LANE_WIDTH)
+                    .zip(target_row.chunks_exact_mut(LANE_WIDTH))
+                    .enumerate()
+                {
+                    let acc = self.lane_row(input, j, block * LANE_WIDTH, diag_index_mask);
+                    norm_acc = norm_acc + acc * acc;
+                    store_block(acc, chunk);
+                    let updated =
+                        load_block(target_chunk, 0) + acc.mul_complex(factor.re, factor.im);
+                    store_block(updated, target_chunk);
+                }
             }
         }
-        norm_sqr
+        norm_acc.horizontal_sum()
     }
 
     /// [`apply_accumulate_rows`](Self::apply_accumulate_rows) with **two**
@@ -1149,78 +996,59 @@ impl BlockKernel<'_> {
         f_input: Complex,
         f_out: Complex,
         row_offset: usize,
-        lanes: bool,
     ) -> f64 {
         let stride = self.stride;
         let diag_index_mask = self.diag_table.len().wrapping_sub(1);
-        if lanes {
-            let mut norm_acc = F64x8::ZERO;
-            if stride.is_multiple_of(2 * LANE_WIDTH) {
-                for (k, (row, target_row)) in out
-                    .chunks_exact_mut(stride)
-                    .zip(target.chunks_exact_mut(stride))
+        let mut norm_acc = F64x8::ZERO;
+        if stride.is_multiple_of(2 * LANE_WIDTH) {
+            for (k, (row, target_row)) in out
+                .chunks_exact_mut(stride)
+                .zip(target.chunks_exact_mut(stride))
+                .enumerate()
+            {
+                let j = row_offset + k;
+                for (pair, (chunk, target_chunk)) in row
+                    .chunks_exact_mut(2 * LANE_WIDTH)
+                    .zip(target_row.chunks_exact_mut(2 * LANE_WIDTH))
                     .enumerate()
                 {
-                    let j = row_offset + k;
-                    for (pair, (chunk, target_chunk)) in row
-                        .chunks_exact_mut(2 * LANE_WIDTH)
-                        .zip(target_row.chunks_exact_mut(2 * LANE_WIDTH))
-                        .enumerate()
-                    {
-                        let lane = pair * 2 * LANE_WIDTH;
-                        let accs = self.lane_row_pair(input, j, lane, diag_index_mask);
-                        for (n, acc) in accs.into_iter().enumerate() {
-                            let base = j * stride + lane + n * LANE_WIDTH;
-                            let slot = &mut chunk[n * LANE_WIDTH..];
-                            norm_acc = norm_acc + acc * acc;
-                            store_block(acc, slot);
-                            let target_slot = &mut target_chunk[n * LANE_WIDTH..];
-                            let update = load_block(input, base)
-                                .mul_complex(f_input.re, f_input.im)
-                                + acc.mul_complex(f_out.re, f_out.im);
-                            store_block(load_block(target_slot, 0) + update, target_slot);
-                        }
-                    }
-                }
-            } else {
-                for (k, (row, target_row)) in out
-                    .chunks_exact_mut(stride)
-                    .zip(target.chunks_exact_mut(stride))
-                    .enumerate()
-                {
-                    let j = row_offset + k;
-                    for (block, (chunk, target_chunk)) in row
-                        .chunks_exact_mut(LANE_WIDTH)
-                        .zip(target_row.chunks_exact_mut(LANE_WIDTH))
-                        .enumerate()
-                    {
-                        let base = j * stride + block * LANE_WIDTH;
-                        let acc = self.lane_row(input, j, block * LANE_WIDTH, diag_index_mask);
+                    let lane = pair * 2 * LANE_WIDTH;
+                    let accs = self.lane_row_pair(input, j, lane, diag_index_mask);
+                    for (n, acc) in accs.into_iter().enumerate() {
+                        let base = j * stride + lane + n * LANE_WIDTH;
+                        let slot = &mut chunk[n * LANE_WIDTH..];
                         norm_acc = norm_acc + acc * acc;
-                        store_block(acc, chunk);
+                        store_block(acc, slot);
+                        let target_slot = &mut target_chunk[n * LANE_WIDTH..];
                         let update = load_block(input, base).mul_complex(f_input.re, f_input.im)
                             + acc.mul_complex(f_out.re, f_out.im);
-                        store_block(load_block(target_chunk, 0) + update, target_chunk);
+                        store_block(load_block(target_slot, 0) + update, target_slot);
                     }
                 }
             }
-            return norm_acc.horizontal_sum();
-        }
-        let mut norm_sqr = 0.0;
-        for (k, (row, target_row)) in out
-            .chunks_exact_mut(stride)
-            .zip(target.chunks_exact_mut(stride))
-            .enumerate()
-        {
-            let j = row_offset + k;
-            for (r, (slot, target_slot)) in row.iter_mut().zip(target_row.iter_mut()).enumerate() {
-                let acc = self.element(input, j, r, diag_index_mask);
-                norm_sqr += acc.norm_sqr();
-                *slot = acc;
-                *target_slot += f_input * input[j * stride + r] + f_out * acc;
+        } else {
+            for (k, (row, target_row)) in out
+                .chunks_exact_mut(stride)
+                .zip(target.chunks_exact_mut(stride))
+                .enumerate()
+            {
+                let j = row_offset + k;
+                for (block, (chunk, target_chunk)) in row
+                    .chunks_exact_mut(LANE_WIDTH)
+                    .zip(target_row.chunks_exact_mut(LANE_WIDTH))
+                    .enumerate()
+                {
+                    let base = j * stride + block * LANE_WIDTH;
+                    let acc = self.lane_row(input, j, block * LANE_WIDTH, diag_index_mask);
+                    norm_acc = norm_acc + acc * acc;
+                    store_block(acc, chunk);
+                    let update = load_block(input, base).mul_complex(f_input.re, f_input.im)
+                        + acc.mul_complex(f_out.re, f_out.im);
+                    store_block(load_block(target_chunk, 0) + update, target_chunk);
+                }
             }
         }
-        norm_sqr
+        norm_acc.horizontal_sum()
     }
 
     /// Shape check shared by the entry points.
@@ -1232,14 +1060,6 @@ impl BlockKernel<'_> {
             self.num_qubits <= input.num_qubits(),
             "Hamiltonian acts on more qubits than the block"
         );
-    }
-
-    /// Whether the realization-lane path runs: the stride is always a lane
-    /// multiple by construction, so only an explicit scalar-path request
-    /// falls back.
-    fn use_lanes(&self, context: &ExecutionContext) -> bool {
-        debug_assert_eq!(self.stride % LANE_WIDTH, 0, "stride must be lane-aligned");
-        context.kernel_path() == KernelPath::Lane
     }
 
     /// Computes `out_r = H_r|ψ_r⟩` for every realization lane `r` and
@@ -1263,17 +1083,16 @@ impl BlockKernel<'_> {
         let stride = self.stride;
         let input = input.as_slice();
         let out = out.as_mut_slice();
-        let lanes = self.use_lanes(context);
         let (participants, chunk) = context.plan(dim);
         if participants <= 1 {
-            return self.apply_rows(input, out, 0, lanes).sqrt();
+            return self.apply_rows(input, out, 0).sqrt();
         }
         let shared_out = SharedAmps::new(out);
         let norm_sqr = exec::pool_run(participants, &|participant: usize| {
             let (start, len) = chunk_bounds(participant, chunk, dim);
             // SAFETY: participants own disjoint row ranges.
             let out_chunk = unsafe { shared_out.slice(start * stride, len * stride) };
-            self.apply_rows(input, out_chunk, start, lanes)
+            self.apply_rows(input, out_chunk, start)
         });
         norm_sqr.sqrt()
     }
@@ -1300,11 +1119,10 @@ impl BlockKernel<'_> {
         let input = input.as_slice();
         let out = out.as_mut_slice();
         let target = target.as_mut_slice();
-        let lanes = self.use_lanes(context);
         let (participants, chunk) = context.plan(dim);
         if participants <= 1 {
             return self
-                .apply_accumulate_rows(input, out, target, factor, 0, lanes)
+                .apply_accumulate_rows(input, out, target, factor, 0)
                 .sqrt();
         }
         let shared_out = SharedAmps::new(out);
@@ -1314,7 +1132,7 @@ impl BlockKernel<'_> {
             // SAFETY: participants own disjoint row ranges.
             let out_chunk = unsafe { shared_out.slice(start * stride, len * stride) };
             let target_chunk = unsafe { shared_target.slice(start * stride, len * stride) };
-            self.apply_accumulate_rows(input, out_chunk, target_chunk, factor, start, lanes)
+            self.apply_accumulate_rows(input, out_chunk, target_chunk, factor, start)
         });
         norm_sqr.sqrt()
     }
@@ -1346,11 +1164,10 @@ impl BlockKernel<'_> {
         let input = input.as_slice();
         let out = out.as_mut_slice();
         let target = target.as_mut_slice();
-        let lanes = self.use_lanes(context);
         let (participants, chunk) = context.plan(dim);
         if participants <= 1 {
             return self
-                .apply_accumulate_both_rows(input, out, target, f_input, f_out, 0, lanes)
+                .apply_accumulate_both_rows(input, out, target, f_input, f_out, 0)
                 .sqrt();
         }
         let shared_out = SharedAmps::new(out);
@@ -1360,15 +1177,7 @@ impl BlockKernel<'_> {
             // SAFETY: participants own disjoint row ranges.
             let out_chunk = unsafe { shared_out.slice(start * stride, len * stride) };
             let target_chunk = unsafe { shared_target.slice(start * stride, len * stride) };
-            self.apply_accumulate_both_rows(
-                input,
-                out_chunk,
-                target_chunk,
-                f_input,
-                f_out,
-                start,
-                lanes,
-            )
+            self.apply_accumulate_both_rows(input, out_chunk, target_chunk, f_input, f_out, start)
         });
         norm_sqr.sqrt()
     }
@@ -1507,9 +1316,73 @@ pub(crate) fn diagonal_value(diag_masks: &[usize], diag_weights: &[f64], basis: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::propagate::apply_hamiltonian_naive;
 
     fn assert_close(a: Complex, b: Complex) {
         assert!((a - b).abs() < 1e-12, "{a} != {b}");
+    }
+
+    fn assert_states_close(a: &StateVector, b: &StateVector) {
+        for (x, y) in a.amplitudes().iter().zip(b.amplitudes()) {
+            assert_close(*x, *y);
+        }
+    }
+
+    /// Runs `h` on `state` through all three `FusedKernel::*_into_with`
+    /// entry points and pins each result to the naive per-term apply at
+    /// 1e-12: `out = H|ψ⟩`, `target + factor·H|ψ⟩`, and `target +
+    /// f_input·|ψ⟩ + f_out·H|ψ⟩`, plus the returned norm `‖H|ψ⟩‖`.
+    fn assert_entry_points_match_naive(h: &Hamiltonian, state: &StateVector) {
+        let num_qubits = state.num_qubits();
+        let compiled = CompiledHamiltonian::compile(h);
+        let kernel = compiled.kernel();
+        let context = ExecutionContext::auto();
+        let naive = apply_hamiltonian_naive(h, state);
+        let target = ramp_state(num_qubits);
+        let factor = Complex::new(0.3, -0.8);
+        let (f_input, f_out) = (Complex::new(-0.2, 0.45), Complex::new(0.15, 0.9));
+
+        let mut out = StateVector::zeros(num_qubits);
+        let norm = kernel.apply_into_with(&context, state, &mut out);
+        assert_states_close(&out, &naive);
+        assert!((norm - naive.norm()).abs() < 1e-12 * naive.norm().max(1.0));
+
+        let mut out = StateVector::zeros(num_qubits);
+        let mut accumulated = target.clone();
+        kernel.apply_accumulate_into_with(&context, state, &mut out, &mut accumulated, factor);
+        let mut expected = target.clone();
+        expected.accumulate(factor, &naive);
+        assert_states_close(&out, &naive);
+        assert_states_close(&accumulated, &expected);
+
+        let mut out = StateVector::zeros(num_qubits);
+        let mut accumulated = target.clone();
+        kernel.apply_accumulate_both_into_with(
+            &context,
+            state,
+            &mut out,
+            &mut accumulated,
+            f_input,
+            f_out,
+        );
+        let mut expected = target;
+        expected.accumulate(f_input, state);
+        expected.accumulate(f_out, &naive);
+        assert_states_close(&out, &naive);
+        assert_states_close(&accumulated, &expected);
+    }
+
+    /// The 1-qubit `0.3·I + 0.7·Z + 0.5·X`: two diagonal terms, so its
+    /// diagonal table is built — on a register narrower than one lane block.
+    fn one_qubit_tabled_hamiltonian() -> Hamiltonian {
+        Hamiltonian::from_terms(
+            1,
+            [
+                (0.3, PauliString::identity()),
+                (0.7, PauliString::single(0, Pauli::Z)),
+                (0.5, PauliString::single(0, Pauli::X)),
+            ],
+        )
     }
 
     #[test]
@@ -1586,6 +1459,9 @@ mod tests {
         compiled.apply_into(&state, &mut out);
         assert_close(out.amplitudes()[1], Complex::ONE);
         assert_close(out.amplitudes()[0], Complex::ZERO);
+        // A tabled 1-qubit H on a non-uniform 3-qubit state: the lane
+        // kernels read its tiled, one-block table under `j & mask`.
+        assert_entry_points_match_naive(&one_qubit_tabled_hamiltonian(), &ramp_state(3));
     }
 
     #[test]
@@ -1634,80 +1510,29 @@ mod tests {
         )
     }
 
+    /// The naive per-term apply is the scalar reference of the lane
+    /// kernels: every term class, at several widths above the Hamiltonian's
+    /// own register.
     #[test]
     fn lane_path_matches_scalar_reference() {
-        let compiled = CompiledHamiltonian::compile(&every_class_hamiltonian(4));
+        let h = every_class_hamiltonian(4);
         for num_qubits in 4..=6 {
             let state = ramp_state(num_qubits);
-            let scalar_ctx = ExecutionContext::auto().with_kernel_path(KernelPath::Scalar);
-            let lane_ctx = ExecutionContext::auto().with_kernel_path(KernelPath::Lane);
-            let mut scalar = StateVector::zeros(num_qubits);
+            let compiled = CompiledHamiltonian::compile(&h);
             let mut lane = StateVector::zeros(num_qubits);
-            let scalar_norm = compiled
-                .kernel()
-                .apply_into_with(&scalar_ctx, &state, &mut scalar);
-            let lane_norm = compiled
-                .kernel()
-                .apply_into_with(&lane_ctx, &state, &mut lane);
-            for (a, b) in scalar.amplitudes().iter().zip(lane.amplitudes()) {
-                assert_close(*a, *b);
-            }
-            assert!((scalar_norm - lane_norm).abs() < 1e-10 * scalar_norm.max(1.0));
+            let norm =
+                compiled
+                    .kernel()
+                    .apply_into_with(&ExecutionContext::auto(), &state, &mut lane);
+            let naive = apply_hamiltonian_naive(&h, &state);
+            assert_states_close(&lane, &naive);
+            assert!((norm - naive.norm()).abs() < 1e-10 * naive.norm().max(1.0));
         }
     }
 
     #[test]
     fn lane_path_matches_scalar_for_fused_accumulations() {
-        let compiled = CompiledHamiltonian::compile(&every_class_hamiltonian(4));
-        let state = ramp_state(5);
-        let factor = Complex::new(0.3, -0.8);
-        let (f_input, f_out) = (Complex::new(-0.2, 0.45), Complex::new(0.15, 0.9));
-        let scalar_ctx = ExecutionContext::auto().with_kernel_path(KernelPath::Scalar);
-        let lane_ctx = ExecutionContext::auto().with_kernel_path(KernelPath::Lane);
-
-        let mut out_s = StateVector::zeros(5);
-        let mut out_l = StateVector::zeros(5);
-        let mut target_s = ramp_state(5);
-        let mut target_l = ramp_state(5);
-        compiled.kernel().apply_accumulate_into_with(
-            &scalar_ctx,
-            &state,
-            &mut out_s,
-            &mut target_s,
-            factor,
-        );
-        compiled.kernel().apply_accumulate_into_with(
-            &lane_ctx,
-            &state,
-            &mut out_l,
-            &mut target_l,
-            factor,
-        );
-        for (a, b) in target_s.amplitudes().iter().zip(target_l.amplitudes()) {
-            assert_close(*a, *b);
-        }
-
-        let mut target_s = ramp_state(5);
-        let mut target_l = ramp_state(5);
-        compiled.kernel().apply_accumulate_both_into_with(
-            &scalar_ctx,
-            &state,
-            &mut out_s,
-            &mut target_s,
-            f_input,
-            f_out,
-        );
-        compiled.kernel().apply_accumulate_both_into_with(
-            &lane_ctx,
-            &state,
-            &mut out_l,
-            &mut target_l,
-            f_input,
-            f_out,
-        );
-        for (a, b) in target_s.amplitudes().iter().zip(target_l.amplitudes()) {
-            assert_close(*a, *b);
-        }
+        assert_entry_points_match_naive(&every_class_hamiltonian(4), &ramp_state(5));
     }
 
     #[test]
@@ -1731,14 +1556,15 @@ mod tests {
     }
 
     #[test]
-    fn tiny_states_fall_back_to_the_scalar_path() {
-        // dim 2 < LANE_WIDTH: the lane context must transparently run scalar.
+    fn tiny_states_run_the_lane_tail_loop() {
+        // dim 2 < LANE_WIDTH: no full block, the tail loop covers the state.
         let h = Hamiltonian::from_terms(1, [(1.0, PauliString::single(0, Pauli::X))]);
         let compiled = CompiledHamiltonian::compile(&h);
         let state = StateVector::zero_state(1);
         let mut out = StateVector::zeros(1);
         compiled.apply_into(&state, &mut out);
         assert_close(out.amplitudes()[1], Complex::ONE);
+        assert_entry_points_match_naive(&one_qubit_tabled_hamiltonian(), &ramp_state(1));
     }
 
     #[test]

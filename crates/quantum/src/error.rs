@@ -171,8 +171,9 @@ impl std::error::Error for EvolveError {
 /// backend after `backend` tripped a guardrail.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryEvent {
-    /// Segment index at which the failure occurred, when known.
-    pub segment: Option<usize>,
+    /// Segment index at which the failure occurred (a constant Hamiltonian
+    /// runs as segment `0`).
+    pub segment: usize,
     /// The backend that failed the guardrail.
     pub backend: StepperKind,
     /// The backend that re-ran the segment successfully.
@@ -294,7 +295,7 @@ mod tests {
         let mut log = RecoveryLog::default();
         assert!(log.is_empty());
         log.push(RecoveryEvent {
-            segment: Some(0),
+            segment: 0,
             backend: StepperKind::Krylov,
             fallback: StepperKind::Taylor,
             error: EvolveError::InvalidInput {

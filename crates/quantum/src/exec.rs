@@ -11,20 +11,18 @@
 //!
 //! * [`ExecutionContext`] — a small `Copy` value describing *how* kernels
 //!   run: worker count ([`ExecutionContext::with_threads`] or the
-//!   `QTURBO_THREADS` environment variable), the parallel threshold
-//!   ([`ExecutionContext::with_parallel_threshold`]), and the kernel path
-//!   ([`KernelPath::Lane`] vs. the scalar conformance reference).
-//!   Every stepper stores one and routes all kernel applications through it,
-//!   so a single context is reused across schedule segments and noise
-//!   realizations.
+//!   `QTURBO_THREADS` environment variable) and the parallel threshold
+//!   ([`ExecutionContext::with_parallel_threshold`]). Every stepper stores
+//!   one and routes all kernel applications through it, so a single context
+//!   is reused across schedule segments and noise realizations.
 //! * [`WorkerPool`] — helper threads spawned **once** per process, parked on
 //!   a condvar between calls, each with a persistent result slot, so the
 //!   per-application cost of parallel dispatch is one lock handshake rather
 //!   than thread creation.
 //! * [`F64x4`] / [`F64x8`] — fixed-size array newtypes (stable Rust, no
 //!   `std::simd`) whose elementwise loops the autovectorizer reliably lowers
-//!   to packed instructions. `FusedKernel`'s lane path is written entirely in
-//!   terms of these.
+//!   to packed instructions. `FusedKernel` and `BlockKernel` are written
+//!   entirely in terms of these.
 //! * [`Passes`] — the analytically-exact amplitude-pass counter. Every
 //!   primitive state operation has a fixed cost
 //!   (see the method docs on [`Passes`]); steppers tick the counter at each
@@ -33,12 +31,11 @@
 //!
 //! # Determinism
 //!
-//! For a fixed `(threads, kernel path)` configuration results are bitwise
-//! reproducible: chunk boundaries depend only on the dimension and the
-//! resolved worker count, and every chunk is processed by exactly one
-//! participant. Across different configurations amplitudes agree to
-//! round-off (the per-chunk norm partial sums are reduced in a different
-//! order), far inside the 1e-10 conformance pin.
+//! For a fixed worker count results are bitwise reproducible: chunk
+//! boundaries depend only on the dimension and the resolved worker count,
+//! and every chunk is processed by exactly one participant. Across worker
+//! counts amplitudes agree to round-off (the per-chunk norm partial sums
+//! are reduced in a different order), far inside the 1e-10 conformance pin.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -68,7 +65,7 @@ pub struct F64x4(pub [f64; 4]);
 /// Eight `f64` lanes: four complex amplitudes in interleaved
 /// `re₀, im₀, re₁, im₁, …` order.
 ///
-/// This is the working register of the lane kernel path — one [`F64x8`] is
+/// This is the working register of the lane kernels — one [`F64x8`] is
 /// one block of [`LANE_WIDTH`] amplitudes.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 #[repr(transparent)]
@@ -247,24 +244,7 @@ impl F64x8 {
 // Execution context
 // ---------------------------------------------------------------------------
 
-/// Which kernel implementation [`ExecutionContext`] dispatches to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelPath {
-    /// The SIMD lane path: [`F64x8`] blocks of four amplitudes. The default.
-    ///
-    /// Falls back to the scalar path per call when the kernel or dimension
-    /// cannot be blocked (states smaller than [`LANE_WIDTH`] amplitudes, or a
-    /// diagonal lookup table shorter than one block).
-    #[default]
-    Lane,
-    /// The scalar reference path — one amplitude at a time, kept as the
-    /// conformance baseline the lane path is pinned against (1e-10 in the
-    /// test suite, though in practice the two agree to round-off).
-    Scalar,
-}
-
-/// How kernel applications execute: worker count, parallel threshold, and
-/// kernel path.
+/// How kernel applications execute: worker count and parallel threshold.
 ///
 /// The context is a plain `Copy` value. [`EvolveOptions`](crate::stepper::EvolveOptions)
 /// carries one, every stepper stores one, and [`Propagator`](crate::propagate::Propagator)
@@ -290,7 +270,6 @@ pub enum KernelPath {
 pub struct ExecutionContext {
     threads: Option<usize>,
     threshold_qubits: usize,
-    kernels: KernelPath,
 }
 
 impl Default for ExecutionContext {
@@ -301,13 +280,12 @@ impl Default for ExecutionContext {
 
 impl ExecutionContext {
     /// The default context: automatic thread count (`QTURBO_THREADS` or the
-    /// machine parallelism), the default parallel threshold
-    /// ([`PARALLEL_THRESHOLD_QUBITS`]), and the [`KernelPath::Lane`] path.
+    /// machine parallelism) and the default parallel threshold
+    /// ([`PARALLEL_THRESHOLD_QUBITS`]).
     pub fn auto() -> Self {
         ExecutionContext {
             threads: None,
             threshold_qubits: PARALLEL_THRESHOLD_QUBITS,
-            kernels: KernelPath::Lane,
         }
     }
 
@@ -327,13 +305,6 @@ impl ExecutionContext {
         self
     }
 
-    /// Selects the kernel implementation ([`KernelPath`]).
-    #[must_use]
-    pub fn with_kernel_path(mut self, path: KernelPath) -> Self {
-        self.kernels = path;
-        self
-    }
-
     /// The pinned worker count, if any (`None` = automatic).
     pub fn threads(&self) -> Option<usize> {
         self.threads
@@ -342,11 +313,6 @@ impl ExecutionContext {
     /// The parallel threshold in qubits.
     pub fn parallel_threshold_qubits(&self) -> usize {
         self.threshold_qubits
-    }
-
-    /// The configured kernel path.
-    pub fn kernel_path(&self) -> KernelPath {
-        self.kernels
     }
 
     /// The worker count after resolving the automatic sources: the pinned
@@ -409,7 +375,6 @@ impl ExecutionContext {
             chunks,
             chunk_len,
             parallel_threshold_qubits: self.threshold_qubits,
-            kernel_path: self.kernels,
             dim,
             pool_busy_ns,
         }

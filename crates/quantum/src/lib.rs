@@ -43,10 +43,10 @@
 //! # Execution
 //!
 //! Every `H|ψ⟩` kernel application is routed through the [`exec`] layer's
-//! [`ExecutionContext`] — worker count, parallel threshold, and kernel path
-//! in one `Copy` value carried by [`EvolveOptions`] and stored by every
-//! stepper, so one configuration is reused across schedule segments and
-//! device noise realizations:
+//! [`ExecutionContext`] — worker count and parallel threshold in one `Copy`
+//! value carried by [`EvolveOptions`] and stored by every stepper, so one
+//! configuration is reused across schedule segments and device noise
+//! realizations:
 //!
 //! * **Pool lifecycle.** Worker threads are spawned once per process on
 //!   first parallel use and parked on a condvar between calls
@@ -54,11 +54,13 @@
 //!   threshold costs one lock handshake, not a thread spawn. Below the
 //!   threshold everything runs inline on the calling thread — small states
 //!   never pay for the pool.
-//! * **Lane dispatch.** The default [`exec::KernelPath::Lane`] path
-//!   processes blocks of four amplitudes in [`exec::F64x8`] registers
-//!   (portable fixed-size-array newtypes the autovectorizer lowers to
-//!   packed instructions); the scalar path is retained as the conformance
-//!   reference and pinned to the lane path at 1e-10 by the test suite.
+//! * **Lane kernels.** One kernel implementation runs every state: blocks
+//!   of four amplitudes in [`exec::F64x8`] registers (portable
+//!   fixed-size-array newtypes the autovectorizer lowers to packed
+//!   instructions), with a per-amplitude tail loop for states smaller than
+//!   one block. The naive per-term apply
+//!   ([`propagate::apply_hamiltonian_naive`]) is the conformance reference,
+//!   pinned to the lane kernels at 1e-12 by the test suite.
 //! * **Threshold tuning.** `EvolveOptions::with_threads(n)` /
 //!   `QTURBO_THREADS=n` pin the worker count;
 //!   [`exec::ExecutionContext::with_parallel_threshold`] moves the
@@ -66,12 +68,11 @@
 //!   Chunks are lane-aligned and the participant count is recomputed from
 //!   the rounded chunk, so over-provisioned thread counts never strand idle
 //!   workers.
-//! * **Determinism.** For a fixed `(threads, kernel path)` configuration
-//!   results are bitwise reproducible; across configurations amplitudes
-//!   agree to round-off (only the norm reduction order changes), well
-//!   inside the 1e-10 conformance pin. Fault-injection recovery is
-//!   thread-count-independent (`tests/prop_faults.rs` runs its grid under
-//!   the pool).
+//! * **Determinism.** For a fixed worker count results are bitwise
+//!   reproducible; across worker counts amplitudes agree to round-off
+//!   (only the norm reduction order changes), well inside the 1e-10
+//!   conformance pin. Fault-injection recovery is thread-count-independent
+//!   (`tests/prop_faults.rs` runs its grid under the pool).
 //! * **Realization batching.** Device noise sweeps can evolve their
 //!   realizations as one structure-of-arrays [`state::RealizationBlock`]
 //!   (opt-in via [`EvolveOptions::with_realization_block`]): amplitude
@@ -197,7 +198,7 @@ pub mod telemetry;
 pub use compiled::{CompiledHamiltonian, CompiledTerm};
 pub use device::{ideal_run, DeviceRun, EmulatedDevice, NoiseModel};
 pub use error::{EvolveError, RecoveryEvent, RecoveryLog};
-pub use exec::{ExecutionContext, KernelPath};
+pub use exec::ExecutionContext;
 pub use fault::{Fault, FaultInjector};
 pub use observable::DiagonalObservables;
 pub use propagate::Propagator;

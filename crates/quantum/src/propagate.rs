@@ -483,7 +483,7 @@ impl Propagator {
     fn finish_segment_trace(
         &mut self,
         segment: TraceSegment,
-        index: Option<usize>,
+        index: usize,
         backend: StepperKind,
         duration: f64,
         bound: &SpectralBound,
@@ -916,7 +916,7 @@ impl Propagator {
                 return Err(retry_error.with_segment(index));
             }
             self.record_recovery(RecoveryEvent {
-                segment: Some(index),
+                segment: index,
                 backend: kind,
                 fallback: StepperKind::Taylor,
                 error: error.with_segment(index),
@@ -930,7 +930,7 @@ impl Propagator {
         }
         run.executed_segments += 1;
         if let Some(segment) = segment_trace {
-            self.finish_segment_trace(segment, Some(index), kind, duration, &bound, recovered);
+            self.finish_segment_trace(segment, index, kind, duration, &bound, recovered);
         }
         Ok(())
     }
@@ -1149,7 +1149,7 @@ impl Propagator {
                     {
                         Ok(()) => {
                             self.record_recovery(RecoveryEvent {
-                                segment: Some(index),
+                                segment: index,
                                 backend: StepperKind::BatchedTaylor,
                                 fallback: StepperKind::BatchedTaylor,
                                 error: error.with_segment(index),
@@ -1180,7 +1180,7 @@ impl Propagator {
             if let Some(segment) = segment_trace {
                 self.finish_segment_trace(
                     segment,
-                    Some(index),
+                    index,
                     StepperKind::BatchedTaylor,
                     duration,
                     &bound,

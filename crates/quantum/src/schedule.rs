@@ -636,7 +636,7 @@ impl CompiledSchedule {
     /// Materializes segment `index`'s diagonal table into `scratch`, reusing
     /// the buffer across segments (allocation happens once), and records the
     /// table's exact `(min, max)` — the input for the tightened per-segment
-    /// [`SpectralBound`].
+    /// [`SpectralBound`]. The table holds `max(2ⁿ, LANE_WIDTH)` entries.
     ///
     /// `scratch.materialized` tracks which segment's table currently
     /// occupies the buffer. When the previous and current segments share a
@@ -692,7 +692,13 @@ impl CompiledSchedule {
             }
         } else {
             scratch.table.clear();
-            scratch.table.resize(1 << self.num_qubits, 0.0);
+            // At least one lane block: a register narrower than LANE_WIDTH
+            // amplitudes tiles its table, so `table[j & (len − 1)]` and the
+            // exact range are unchanged and the lane kernels can always load
+            // a whole block of it.
+            scratch
+                .table
+                .resize((1 << self.num_qubits).max(LANE_WIDTH), 0.0);
             let mut range = (f64::INFINITY, f64::NEG_INFINITY);
             for (basis, slot) in scratch.table.iter_mut().enumerate() {
                 let value =

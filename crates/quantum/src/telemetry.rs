@@ -34,7 +34,6 @@ use std::fmt::Write as _;
 use std::sync::OnceLock;
 
 use crate::error::RecoveryEvent;
-use crate::exec::KernelPath;
 use crate::stepper::StepperKind;
 
 /// Hard cap on buffered span events per [`Recorder`].
@@ -130,9 +129,8 @@ pub struct ScheduleSpan {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SegmentSpan {
     /// Segment index within the schedule (a constant Hamiltonian runs as
-    /// segment `0`); `None` when the span was not recorded against a
-    /// schedule.
-    pub index: Option<usize>,
+    /// segment `0`).
+    pub index: usize,
     /// Backend that (finally) integrated the segment, after any Auto
     /// demotion or recovery fallback.
     pub backend: StepperKind,
@@ -178,7 +176,7 @@ pub struct RecoverySpan {
 /// Execution-layer span: the kernel execution plan for a traced run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecSpan {
-    /// SIMD lane width of the lane kernel path.
+    /// SIMD lane width of the lane kernels.
     pub lane_width: usize,
     /// Resolved worker threads.
     pub threads: usize,
@@ -191,8 +189,6 @@ pub struct ExecSpan {
     pub chunk_len: usize,
     /// Qubit count at or above which kernels go parallel.
     pub parallel_threshold_qubits: usize,
-    /// Lane or scalar kernel path.
-    pub kernel_path: KernelPath,
     /// State-vector dimension the plan was made for.
     pub dim: usize,
     /// Worker-pool busy nanoseconds accumulated during the traced call
@@ -499,7 +495,7 @@ impl TraceSink for Recorder {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SegmentProfile {
     /// Segment index (see [`SegmentSpan::index`]).
-    pub index: Option<usize>,
+    pub index: usize,
     /// Backend that integrated the segment.
     pub backend: StepperKind,
     /// Segment duration.
@@ -651,10 +647,6 @@ impl RunProfile {
             if i > 0 {
                 out.push(',');
             }
-            let index = match seg.index {
-                Some(index) => index.to_string(),
-                None => "null".to_string(),
-            };
             let predicted = match seg.predicted_applications {
                 Some(value) => json_f64(value),
                 None => "null".to_string(),
@@ -664,7 +656,7 @@ impl RunProfile {
                 "{{\"index\":{},\"backend\":\"{}\",\"duration\":{},\
                  \"predicted_applications\":{},\"applications\":{},\
                  \"state_passes\":{},\"recovered\":{},\"wall_ns\":{}}}",
-                index,
+                seg.index,
                 seg.backend.name(),
                 json_f64(seg.duration),
                 predicted,
@@ -679,14 +671,12 @@ impl RunProfile {
             let _ = write!(
                 out,
                 ",\"exec\":{{\"lane_width\":{},\"threads\":{},\"workers\":{},\
-                 \"chunks\":{},\"chunk_len\":{},\"kernel_path\":\"{}\",\
-                 \"dim\":{},\"pool_busy_ns\":{}}}",
+                 \"chunks\":{},\"chunk_len\":{},\"dim\":{},\"pool_busy_ns\":{}}}",
                 exec.lane_width,
                 exec.threads,
                 exec.workers,
                 exec.chunks,
                 exec.chunk_len,
-                kernel_path_name(exec.kernel_path),
                 exec.dim,
                 exec.pool_busy_ns,
             );
@@ -723,12 +713,8 @@ impl RunProfile {
         if let Some(exec) = &self.exec {
             let _ = writeln!(
                 out,
-                "  exec: {} thread(s), {} chunk(s) of {} amplitudes, lane width {}, {} path",
-                exec.threads,
-                exec.chunks,
-                exec.chunk_len,
-                exec.lane_width,
-                kernel_path_name(exec.kernel_path),
+                "  exec: {} thread(s), {} chunk(s) of {} amplitudes, lane width {}",
+                exec.threads, exec.chunks, exec.chunk_len, exec.lane_width,
             );
         }
         for row in &self.backends {
@@ -769,13 +755,6 @@ impl RunProfile {
     }
 }
 
-fn kernel_path_name(path: KernelPath) -> &'static str {
-    match path {
-        KernelPath::Lane => "lane",
-        KernelPath::Scalar => "scalar",
-    }
-}
-
 /// Formats an `f64` as JSON (finite values only; non-finite become `null`).
 fn json_f64(value: f64) -> String {
     if value.is_finite() {
@@ -798,7 +777,7 @@ mod tests {
         let mut recorder = Recorder::new();
         for i in 0..(MAX_RECORDED_EVENTS + 10) {
             recorder.record(SpanEvent::Segment(SegmentSpan {
-                index: Some(i),
+                index: i,
                 backend: StepperKind::Taylor,
                 duration: 1.0,
                 predicted_applications: None,
@@ -821,7 +800,7 @@ mod tests {
     fn metrics_fold_and_utilization() {
         let mut registry = MetricsRegistry::default();
         registry.observe(&SpanEvent::Segment(SegmentSpan {
-            index: Some(0),
+            index: 0,
             backend: StepperKind::Taylor,
             duration: 1.0,
             predicted_applications: Some(4.0),
@@ -847,7 +826,6 @@ mod tests {
             chunks: 2,
             chunk_len: 16,
             parallel_threshold_qubits: 4,
-            kernel_path: KernelPath::Lane,
             dim: 32,
             pool_busy_ns: 500,
         }));
@@ -860,7 +838,7 @@ mod tests {
     #[test]
     fn sans_timing_zeroes_only_wall_fields() {
         let span = SpanEvent::Segment(SegmentSpan {
-            index: Some(3),
+            index: 3,
             backend: StepperKind::Krylov,
             duration: 0.5,
             predicted_applications: Some(7.0),
@@ -873,7 +851,7 @@ mod tests {
             SpanEvent::Segment(seg) => {
                 assert_eq!(seg.wall_ns, 0);
                 assert_eq!(seg.applications, 7);
-                assert_eq!(seg.index, Some(3));
+                assert_eq!(seg.index, 3);
                 assert!(seg.recovered);
             }
             other => panic!("unexpected variant {other:?}"),
@@ -884,7 +862,7 @@ mod tests {
     fn json_render_is_wellformed_ish() {
         let mut recorder = Recorder::new();
         recorder.record(SpanEvent::Segment(SegmentSpan {
-            index: Some(0),
+            index: 0,
             backend: StepperKind::BatchedTaylor,
             duration: 0.25,
             predicted_applications: Some(12.0),

@@ -157,7 +157,7 @@ fn fault_recovery_inside_block_sweep() {
         1,
         "the spike must be recovered exactly once"
     );
-    assert_eq!(faulted.recovery_log().events()[0].segment, Some(2));
+    assert_eq!(faulted.recovery_log().events()[0].segment, 2);
 
     for r in 0..scales.len() {
         let clean_state = clean_block.extract(r);

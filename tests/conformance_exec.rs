@@ -1,12 +1,11 @@
 //! Execution-layer conformance: the SIMD-lane kernels and the persistent
 //! worker pool must be invisible in the numbers.
 //!
-//! The grid sweeps every [`StepperKind`] × every kernel path
-//! ([`KernelPath::Lane`] and the scalar conformance reference) × worker
-//! counts {1, 2, max} with the parallel threshold forced to zero — so even
-//! the small registers of this suite genuinely fan out across the pool —
-//! and pins every cell to the single-threaded scalar reference at 1e-10,
-//! with the evolved norm preserved to the same window. A lane-math bug, a
+//! The grid sweeps every [`StepperKind`] × worker counts {1, 2, max} with
+//! the parallel threshold forced to zero — so even the small registers of
+//! this suite genuinely fan out across the pool — and pins every cell to
+//! the naive dense propagation (`evolve_naive`) at 1e-10, with the evolved
+//! norm preserved to the same window. A lane-math bug, a
 //! chunk-boundary overlap, or a pool synchronization race all surface here
 //! as amplitude disagreement.
 
@@ -15,9 +14,7 @@ use qturbo_math::rng::Rng;
 use qturbo_math::Complex;
 use qturbo_quantum::compiled::CompiledHamiltonian;
 use qturbo_quantum::propagate::evolve_naive;
-use qturbo_quantum::{
-    EvolveOptions, ExecutionContext, KernelPath, Propagator, StateVector, StepperKind,
-};
+use qturbo_quantum::{EvolveOptions, ExecutionContext, Propagator, StateVector, StepperKind};
 
 const AGREEMENT: f64 = 1e-10;
 
@@ -53,24 +50,21 @@ fn random_state(rng: &mut Rng, num_qubits: usize) -> StateVector {
 /// threshold at zero so the pool engages on every register size.
 fn contexts() -> Vec<(String, ExecutionContext)> {
     let max_threads = ExecutionContext::auto().resolved_threads().max(3);
-    let mut out = Vec::new();
-    for path in [KernelPath::Lane, KernelPath::Scalar] {
-        for threads in [1, 2, max_threads] {
-            let label = format!("{path:?}/threads{threads}");
-            out.push((
-                label,
+    [1, 2, max_threads]
+        .into_iter()
+        .map(|threads| {
+            (
+                format!("threads{threads}"),
                 ExecutionContext::auto()
                     .with_threads(threads)
-                    .with_parallel_threshold(0)
-                    .with_kernel_path(path),
-            ));
-        }
-    }
-    out
+                    .with_parallel_threshold(0),
+            )
+        })
+        .collect()
 }
 
 #[test]
-fn every_backend_agrees_across_thread_counts_and_kernel_paths() {
+fn every_backend_agrees_across_thread_counts() {
     let mut rng = Rng::seed_from_u64(0xE8EC);
     for num_qubits in [4, 5] {
         let h = every_class_hamiltonian(num_qubits);
@@ -115,8 +109,8 @@ fn every_backend_agrees_across_thread_counts_and_kernel_paths() {
 
 #[test]
 fn fixed_configuration_is_bitwise_reproducible() {
-    // The determinism contract: same (threads, kernel path) ⇒ identical
-    // bits, run to run, pool warm or cold.
+    // The determinism contract: same worker count ⇒ identical bits, run
+    // to run, pool warm or cold.
     let mut rng = Rng::seed_from_u64(0xB17);
     let h = every_class_hamiltonian(4);
     let compiled = CompiledHamiltonian::compile(&h);
@@ -148,6 +142,6 @@ fn with_threads_builder_pins_the_worker_count() {
         ExecutionContext::auto().resolved_threads()
     );
     let swapped = EvolveOptions::default()
-        .with_execution(ExecutionContext::auto().with_kernel_path(KernelPath::Scalar));
-    assert_eq!(swapped.execution.kernel_path(), KernelPath::Scalar);
+        .with_execution(ExecutionContext::auto().with_parallel_threshold(3));
+    assert_eq!(swapped.execution.parallel_threshold_qubits(), 3);
 }

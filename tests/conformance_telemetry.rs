@@ -209,9 +209,9 @@ fn recovery_spans_wrap_injected_faults() {
         propagator.recovery_log().events()[0]
     );
     // The recovered segment's span is flagged.
-    let flagged = trace.events().iter().any(|event| {
-        matches!(event, SpanEvent::Segment(span) if span.index == Some(3) && span.recovered)
-    });
+    let flagged = trace.events().iter().any(
+        |event| matches!(event, SpanEvent::Segment(span) if span.index == 3 && span.recovered),
+    );
     assert!(flagged, "recovered segment span not flagged");
     // And the profile surfaces the recovery.
     let profile = propagator.run_profile().expect("traced");

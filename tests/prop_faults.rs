@@ -170,7 +170,7 @@ fn fault_grid_recovers_or_errors_never_lies() {
                         for event in propagator.recovery_log().events() {
                             assert_eq!(
                                 event.segment,
-                                Some(FAULT_SEGMENT),
+                                FAULT_SEGMENT,
                                 "{} x {fault:?} [{context_name}]: recovery at the wrong segment",
                                 kind.name()
                             );
@@ -261,7 +261,7 @@ fn amplitude_corruption_always_recovers_exactly() {
                     "{} x {fault:?} [{path}]: expected exactly one recovery",
                     kind.name()
                 );
-                assert_eq!(events[0].segment, Some(segment));
+                assert_eq!(events[0].segment, segment);
             }
         }
     }
