@@ -28,6 +28,7 @@
 
 use qturbo_bench::timing::{bench, Json};
 use qturbo_hamiltonian::{Hamiltonian, Pauli, PauliString};
+use qturbo_quantum::exec::KernelIsa;
 use qturbo_quantum::schedule::CompiledSchedule;
 use qturbo_quantum::{DeviceRun, EmulatedDevice, EvolveOptions, NoiseModel};
 
@@ -206,6 +207,7 @@ fn main() {
             "worker_threads_available",
             Json::Number(std::thread::available_parallelism().map_or(1, |n| n.get()) as f64),
         ),
+        ("kernel_isa", Json::string(KernelIsa::detected().name())),
         ("entries", Json::Array(entries)),
     ]);
     let path = "BENCH_device.json";

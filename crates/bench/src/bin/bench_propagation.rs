@@ -15,7 +15,7 @@ use qturbo_bench::telemetry_report::{telemetry_json, traced_profile};
 use qturbo_bench::timing::{achieved_bytes_per_sec as bytes_per_sec, bench, Json, Sample};
 use qturbo_hamiltonian::models::ising_chain;
 use qturbo_quantum::compiled::CompiledHamiltonian;
-use qturbo_quantum::exec::LANE_WIDTH;
+use qturbo_quantum::exec::{KernelIsa, LANE_WIDTH};
 use qturbo_quantum::propagate::{apply_hamiltonian_naive, evolve_naive, Propagator};
 use qturbo_quantum::{EvolveOptions, ExecutionContext, StateVector, StepperKind};
 
@@ -178,6 +178,7 @@ fn main() {
             Json::Number(ExecutionContext::auto().resolved_threads() as f64),
         ),
         ("lane_width", Json::Number(LANE_WIDTH as f64)),
+        ("kernel_isa", Json::string(KernelIsa::detected().name())),
         ("cross_check_fidelity", Json::Number(fidelity)),
         ("entries", Json::Array(entries)),
     ]);

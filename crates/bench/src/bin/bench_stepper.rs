@@ -33,7 +33,7 @@ use qturbo_hamiltonian::models::{heisenberg_chain, mis_chain};
 use qturbo_hamiltonian::Hamiltonian;
 use qturbo_math::Complex;
 use qturbo_quantum::compiled::CompiledHamiltonian;
-use qturbo_quantum::exec::LANE_WIDTH;
+use qturbo_quantum::exec::{KernelIsa, LANE_WIDTH};
 use qturbo_quantum::schedule::CompiledSchedule;
 use qturbo_quantum::stepper::StepperKind;
 use qturbo_quantum::{EvolveOptions, ExecutionContext, Propagator, StateVector};
@@ -393,6 +393,7 @@ fn main() {
             Json::Number(ExecutionContext::auto().resolved_threads() as f64),
         ),
         ("lane_width", Json::Number(LANE_WIDTH as f64)),
+        ("kernel_isa", Json::string(KernelIsa::detected().name())),
         ("entries", Json::Array(entries)),
     ]);
     let path = "BENCH_stepper.json";

@@ -10,6 +10,24 @@ use std::collections::BTreeMap;
 /// Targets below this magnitude are treated as "instruction switched off".
 const TARGET_EPSILON: f64 = 1e-12;
 
+/// The position of every variable in `variables`, indexed by
+/// [`VariableId::index`]: the residual closures look a variable up in O(1)
+/// instead of scanning the list on every evaluation. A repeated variable
+/// keeps its first position, as a scan would.
+fn slot_table(variables: &[VariableId]) -> Vec<Option<usize>> {
+    let len = variables.iter().map(|v| v.index() + 1).max().unwrap_or(0);
+    let mut slots = vec![None; len];
+    for (pos, var) in variables.iter().enumerate().rev() {
+        slots[var.index()] = Some(pos);
+    }
+    slots
+}
+
+/// `id`'s position in the list [`slot_table`] indexed, if it is there.
+fn slot_of(slots: &[Option<usize>], id: VariableId) -> Option<usize> {
+    slots.get(id.index()).copied().flatten()
+}
+
 /// Result of solving one localized mixed system at a fixed evolution time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LocalSolution {
@@ -144,17 +162,14 @@ fn absorbed_minimal_time(
     let grefs: Vec<GeneratorRef> = equations.iter().map(|(g, _)| *g).collect();
     let alphas: Vec<f64> = equations.iter().map(|(_, a)| *a).collect();
     let aais_ref = aais;
+    let other_slots = slot_table(&other_variables);
     let residual_fn = |params: &[f64]| -> Vec<f64> {
         let w = params[0];
         let lookup = |id: VariableId| -> f64 {
             if id == time_critical {
                 w
             } else {
-                other_variables
-                    .iter()
-                    .position(|&v| v == id)
-                    .map(|pos| params[pos + 1])
-                    .unwrap_or(0.0)
+                slot_of(&other_slots, id).map_or(0.0, |pos| params[pos + 1])
             }
         };
         grefs
@@ -272,15 +287,10 @@ fn direct_minimal_time(
     let alphas: Vec<f64> = equations.iter().map(|(_, a)| *a).collect();
     let penalty_weight = 1e5 * alpha_scale;
 
+    let slots = slot_table(&variables);
     let objective = |params: &[f64]| -> f64 {
         let time = params[variables.len()];
-        let lookup = |id: VariableId| -> f64 {
-            variables
-                .iter()
-                .position(|&v| v == id)
-                .map(|pos| params[pos])
-                .unwrap_or(0.0)
-        };
+        let lookup = |id: VariableId| -> f64 { slot_of(&slots, id).map_or(0.0, |pos| params[pos]) };
         let mut penalty = 0.0;
         for (gref, alpha) in grefs.iter().zip(alphas.iter()) {
             let value = aais.generator(*gref).expr().eval(&lookup) * time;
@@ -296,13 +306,8 @@ fn direct_minimal_time(
 
     let minimal_time = outcome.solution[variables.len()];
     // Check the constraints are actually met at the reported minimum.
-    let lookup = |id: VariableId| -> f64 {
-        variables
-            .iter()
-            .position(|&v| v == id)
-            .map(|pos| outcome.solution[pos])
-            .unwrap_or(0.0)
-    };
+    let lookup =
+        |id: VariableId| -> f64 { slot_of(&slots, id).map_or(0.0, |pos| outcome.solution[pos]) };
     let residual: f64 = grefs
         .iter()
         .zip(alphas.iter())
@@ -395,14 +400,9 @@ pub fn solve_component_at_time(
 
     let grefs: Vec<GeneratorRef> = equations.iter().map(|(g, _)| *g).collect();
     let alphas: Vec<f64> = equations.iter().map(|(_, a)| *a).collect();
+    let slots = slot_table(variables);
     let residual_fn = |params: &[f64]| -> Vec<f64> {
-        let lookup = |id: VariableId| -> f64 {
-            variables
-                .iter()
-                .position(|&v| v == id)
-                .map(|pos| params[pos])
-                .unwrap_or(0.0)
-        };
+        let lookup = |id: VariableId| -> f64 { slot_of(&slots, id).map_or(0.0, |pos| params[pos]) };
         grefs
             .iter()
             .zip(alphas.iter())

@@ -36,6 +36,8 @@
 //! runs each chunk through the SIMD **lane kernels**: blocks of
 //! [`LANE_WIDTH`] amplitudes in [`F64x8`] registers, with a per-amplitude
 //! tail loop for states smaller than one block — see [`ExecutionContext`].
+//! Every lane-kernel body is compiled once per vector ISA and runs at the
+//! widest one the host supports ([`KernelIsa`](crate::exec::KernelIsa)).
 //!
 //! The naive per-qubit reference implementation is retained as
 //! [`StateVector::apply_pauli_string`](crate::StateVector::apply_pauli_string)
@@ -325,9 +327,13 @@ impl CompiledHamiltonian {
 ///
 /// There is one implementation, the lane kernels: every state runs in
 /// blocks of [`LANE_WIDTH`] amplitudes, and the amplitudes past the last
-/// full block (a state smaller than one block) run one at a time. Its
-/// conformance reference is the naive per-term apply,
-/// [`crate::propagate::apply_hamiltonian_naive`].
+/// full block (a state smaller than one block) run one at a time. Each
+/// entry point's body is compiled for every vector ISA and runs at the
+/// host's widest ([`KernelIsa`](crate::exec::KernelIsa)); the variants give
+/// the same bits. Besides `H|ψ⟩`, the entry points fuse what the steppers
+/// do with it into the same write pass: the Taylor accumulations, and one
+/// whole order of the Chebyshev recurrence. Its conformance reference is
+/// the naive per-term apply, [`crate::propagate::apply_hamiltonian_naive`].
 #[derive(Clone, Copy)]
 pub struct FusedKernel<'a> {
     pub(crate) num_qubits: usize,
@@ -444,13 +450,18 @@ impl FusedKernel<'_> {
     /// amplitudes past the last full block (the whole state below
     /// [`LANE_WIDTH`] amplitudes; chunks are lane-aligned) run through
     /// [`element`](Self::element).
+    #[inline(always)]
     fn lane_apply_range(&self, input: &[Complex], out: &mut [Complex], offset: usize) -> f64 {
         let diag_index_mask = self.diag_table.len().wrapping_sub(1);
+        let full = (out.len() / LANE_WIDTH) * LANE_WIDTH;
         let mut norm_acc = F64x8::ZERO;
-        for (block, chunk) in out.chunks_exact_mut(LANE_WIDTH).enumerate() {
-            let acc = self.lane_block(input, offset + block * LANE_WIDTH, diag_index_mask);
-            norm_acc = norm_acc + acc * acc;
-            store_block(acc, chunk);
+        for (tile_index, tile) in out[..full].chunks_mut(NORM_TILE).enumerate() {
+            let tile_offset = offset + tile_index * NORM_TILE;
+            for (block, chunk) in tile.chunks_exact_mut(LANE_WIDTH).enumerate() {
+                let acc = self.lane_block(input, tile_offset + block * LANE_WIDTH, diag_index_mask);
+                store_block(acc, chunk);
+            }
+            norm_acc = sum_norm_sqr(norm_acc, tile);
         }
         let mut norm_sqr = norm_acc.horizontal_sum();
         for k in (out.len() / LANE_WIDTH) * LANE_WIDTH..out.len() {
@@ -463,6 +474,7 @@ impl FusedKernel<'_> {
 
     /// [`lane_apply_range`](Self::lane_apply_range) with the Taylor
     /// accumulation fused into the same pass: `target[j] += factor · out[j]`.
+    #[inline(always)]
     fn lane_apply_accumulate_range(
         &self,
         input: &[Complex],
@@ -472,17 +484,25 @@ impl FusedKernel<'_> {
         offset: usize,
     ) -> f64 {
         let diag_index_mask = self.diag_table.len().wrapping_sub(1);
+        let full = (out.len() / LANE_WIDTH) * LANE_WIDTH;
         let mut norm_acc = F64x8::ZERO;
-        for (block, (out_chunk, target_chunk)) in out
-            .chunks_exact_mut(LANE_WIDTH)
-            .zip(target.chunks_exact_mut(LANE_WIDTH))
+        for (tile_index, (tile, target_tile)) in out[..full]
+            .chunks_mut(NORM_TILE)
+            .zip(target.chunks_mut(NORM_TILE))
             .enumerate()
         {
-            let acc = self.lane_block(input, offset + block * LANE_WIDTH, diag_index_mask);
-            norm_acc = norm_acc + acc * acc;
-            store_block(acc, out_chunk);
-            let updated = load_block(target_chunk, 0) + acc.mul_complex(factor.re, factor.im);
-            store_block(updated, target_chunk);
+            let tile_offset = offset + tile_index * NORM_TILE;
+            for (block, (out_chunk, target_chunk)) in tile
+                .chunks_exact_mut(LANE_WIDTH)
+                .zip(target_tile.chunks_exact_mut(LANE_WIDTH))
+                .enumerate()
+            {
+                let acc = self.lane_block(input, tile_offset + block * LANE_WIDTH, diag_index_mask);
+                store_block(acc, out_chunk);
+                let updated = load_block(target_chunk, 0) + acc.mul_complex(factor.re, factor.im);
+                store_block(updated, target_chunk);
+            }
+            norm_acc = sum_norm_sqr(norm_acc, tile);
         }
         let mut norm_sqr = norm_acc.horizontal_sum();
         for k in (out.len() / LANE_WIDTH) * LANE_WIDTH..out.len() {
@@ -500,6 +520,7 @@ impl FusedKernel<'_> {
     /// already loaded for the gather work, so the extra accumulation costs
     /// no additional memory traffic — this is how the batched sweep fuses
     /// the first- and second-order updates of a step into one traversal.
+    #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn lane_apply_accumulate_both_range(
         &self,
@@ -511,19 +532,27 @@ impl FusedKernel<'_> {
         offset: usize,
     ) -> f64 {
         let diag_index_mask = self.diag_table.len().wrapping_sub(1);
+        let full = (out.len() / LANE_WIDTH) * LANE_WIDTH;
         let mut norm_acc = F64x8::ZERO;
-        for (block, (out_chunk, target_chunk)) in out
-            .chunks_exact_mut(LANE_WIDTH)
-            .zip(target.chunks_exact_mut(LANE_WIDTH))
+        for (tile_index, (tile, target_tile)) in out[..full]
+            .chunks_mut(NORM_TILE)
+            .zip(target.chunks_mut(NORM_TILE))
             .enumerate()
         {
-            let b = offset + block * LANE_WIDTH;
-            let acc = self.lane_block(input, b, diag_index_mask);
-            norm_acc = norm_acc + acc * acc;
-            store_block(acc, out_chunk);
-            let update = load_block(input, b).mul_complex(f_input.re, f_input.im)
-                + acc.mul_complex(f_out.re, f_out.im);
-            store_block(load_block(target_chunk, 0) + update, target_chunk);
+            let tile_offset = offset + tile_index * NORM_TILE;
+            for (block, (out_chunk, target_chunk)) in tile
+                .chunks_exact_mut(LANE_WIDTH)
+                .zip(target_tile.chunks_exact_mut(LANE_WIDTH))
+                .enumerate()
+            {
+                let b = tile_offset + block * LANE_WIDTH;
+                let acc = self.lane_block(input, b, diag_index_mask);
+                store_block(acc, out_chunk);
+                let update = load_block(input, b).mul_complex(f_input.re, f_input.im)
+                    + acc.mul_complex(f_out.re, f_out.im);
+                store_block(load_block(target_chunk, 0) + update, target_chunk);
+            }
+            norm_acc = sum_norm_sqr(norm_acc, tile);
         }
         let mut norm_sqr = norm_acc.horizontal_sum();
         for k in (out.len() / LANE_WIDTH) * LANE_WIDTH..out.len() {
@@ -534,6 +563,88 @@ impl FusedKernel<'_> {
             target[k] += f_input * input[j] + f_out * acc;
         }
         norm_sqr
+    }
+
+    /// One order of the Chebyshev recurrence over output indices `offset ..
+    /// offset + out.len()`, in one traversal. With `T_k = input` and `H̃ =
+    /// (H − center)·inverse_radius`, it forms `m = H̃·T_k` at each index and
+    ///
+    /// * `FIRST` (`T_k = T₀`): writes `T₁ = m` into `out` and seeds `target =
+    ///   order.seed·T₀ + order.factor·T₁`;
+    /// * otherwise: writes `T_{k+1} = 2·m − T_{k−1}` over `out` (which holds
+    ///   `T_{k−1}`) and adds `order.factor·T_{k+1}` to `target`.
+    ///
+    /// Each element runs the operations, in the order, of the separate
+    /// apply, map, recurrence and accumulate passes it replaces, so the
+    /// result is bit for bit theirs.
+    #[inline(always)]
+    fn lane_chebyshev_range<const FIRST: bool>(
+        &self,
+        input: &[Complex],
+        out: &mut [Complex],
+        target: &mut [Complex],
+        order: ChebyshevOrder,
+        offset: usize,
+    ) -> f64 {
+        let diag_index_mask = self.diag_table.len().wrapping_sub(1);
+        let ChebyshevOrder {
+            center,
+            inverse_radius,
+            seed,
+            factor,
+            ..
+        } = order;
+        for (block, (out_chunk, target_chunk)) in out
+            .chunks_exact_mut(LANE_WIDTH)
+            .zip(target.chunks_exact_mut(LANE_WIDTH))
+            .enumerate()
+        {
+            let b = offset + block * LANE_WIDTH;
+            let t_k = load_block(input, b);
+            let mapped = (self.lane_block(input, b, diag_index_mask) - t_k.scale(center))
+                .scale(inverse_radius);
+            if FIRST {
+                store_block(mapped, out_chunk);
+                store_block(
+                    t_k.scale(seed) + mul_complex_full(mapped, factor),
+                    target_chunk,
+                );
+            } else {
+                let next = mapped.scale(2.0) - load_block(out_chunk, 0);
+                store_block(next, out_chunk);
+                store_block(
+                    load_block(target_chunk, 0) + mul_complex_full(next, factor),
+                    target_chunk,
+                );
+            }
+        }
+        for k in (out.len() / LANE_WIDTH) * LANE_WIDTH..out.len() {
+            let j = offset + k;
+            let t_k = input[j];
+            let mapped =
+                (self.element(input, j, diag_index_mask) - t_k.scale(center)).scale(inverse_radius);
+            if FIRST {
+                out[k] = mapped;
+                target[k] = t_k.scale(seed) + factor * mapped;
+            } else {
+                let next = mapped.scale(2.0) - out[k];
+                out[k] = next;
+                target[k] += factor * next;
+            }
+        }
+        0.0
+    }
+
+    /// Asserts the shape contract of the entry points: `input` and every
+    /// `other` state have one dimension, and the kernel fits the register.
+    fn check_shapes(&self, input: &StateVector, others: &[&StateVector]) {
+        for other in others {
+            assert_eq!(input.dim(), other.dim(), "state dimension mismatch");
+        }
+        assert!(
+            self.num_qubits <= input.num_qubits(),
+            "Hamiltonian acts on more qubits than the state"
+        );
     }
 
     // -- public entry points ------------------------------------------------
@@ -563,29 +674,18 @@ impl FusedKernel<'_> {
         input: &StateVector,
         out: &mut StateVector,
     ) -> f64 {
-        assert_eq!(input.dim(), out.dim(), "state dimension mismatch");
-        assert!(
-            self.num_qubits <= input.num_qubits(),
-            "Hamiltonian acts on more qubits than the state"
-        );
-        let dim = input.dim();
-        let input = input.amplitudes();
-        let out = out.amplitudes_mut();
-        let (participants, chunk) = context.plan(dim);
-        if participants <= 1 {
-            return self.lane_apply_range(input, out, 0).sqrt();
-        }
-        // Each participant owns a contiguous chunk of the *output*; every
-        // output index is written exactly once, so chunks never race. Reads
-        // gather from the shared input vector.
-        let shared_out = SharedAmps::new(out);
-        let norm_sqr = exec::pool_run(participants, &|participant: usize| {
-            let (start, len) = chunk_bounds(participant, chunk, dim);
-            // SAFETY: participants own disjoint output ranges.
-            let out_chunk = unsafe { shared_out.slice(start, len) };
-            self.lane_apply_range(input, out_chunk, start)
-        });
-        norm_sqr.sqrt()
+        self.check_shapes(input, &[out]);
+        let (dim, input) = (input.dim(), input.amplitudes());
+        run_pass(
+            context,
+            dim,
+            1,
+            out.amplitudes_mut(),
+            &mut [],
+            #[inline(always)]
+            |out, _, offset| self.lane_apply_range(input, out, offset),
+        )
+        .sqrt()
     }
 
     /// [`apply_into_with`](Self::apply_into_with) with `target += factor ·
@@ -604,32 +704,20 @@ impl FusedKernel<'_> {
         target: &mut StateVector,
         factor: Complex,
     ) -> f64 {
-        assert_eq!(input.dim(), out.dim(), "state dimension mismatch");
-        assert_eq!(input.dim(), target.dim(), "state dimension mismatch");
-        assert!(
-            self.num_qubits <= input.num_qubits(),
-            "Hamiltonian acts on more qubits than the state"
-        );
-        let dim = input.dim();
-        let input = input.amplitudes();
-        let out = out.amplitudes_mut();
-        let target = target.amplitudes_mut();
-        let (participants, chunk) = context.plan(dim);
-        if participants <= 1 {
-            return self
-                .lane_apply_accumulate_range(input, out, target, factor, 0)
-                .sqrt();
-        }
-        let shared_out = SharedAmps::new(out);
-        let shared_target = SharedAmps::new(target);
-        let norm_sqr = exec::pool_run(participants, &|participant: usize| {
-            let (start, len) = chunk_bounds(participant, chunk, dim);
-            // SAFETY: participants own disjoint output/target ranges.
-            let out_chunk = unsafe { shared_out.slice(start, len) };
-            let target_chunk = unsafe { shared_target.slice(start, len) };
-            self.lane_apply_accumulate_range(input, out_chunk, target_chunk, factor, start)
-        });
-        norm_sqr.sqrt()
+        self.check_shapes(input, &[out, target]);
+        let (dim, input) = (input.dim(), input.amplitudes());
+        run_pass(
+            context,
+            dim,
+            1,
+            out.amplitudes_mut(),
+            target.amplitudes_mut(),
+            #[inline(always)]
+            |out, target, offset| {
+                self.lane_apply_accumulate_range(input, out, target, factor, offset)
+            },
+        )
+        .sqrt()
     }
 
     /// [`apply_accumulate_into_with`](Self::apply_accumulate_into_with)
@@ -657,40 +745,94 @@ impl FusedKernel<'_> {
         f_input: Complex,
         f_out: Complex,
     ) -> f64 {
-        assert_eq!(input.dim(), out.dim(), "state dimension mismatch");
-        assert_eq!(input.dim(), target.dim(), "state dimension mismatch");
-        assert!(
-            self.num_qubits <= input.num_qubits(),
-            "Hamiltonian acts on more qubits than the state"
-        );
-        let dim = input.dim();
-        let input = input.amplitudes();
-        let out = out.amplitudes_mut();
-        let target = target.amplitudes_mut();
-        let (participants, chunk) = context.plan(dim);
-        if participants <= 1 {
-            return self
-                .lane_apply_accumulate_both_range(input, out, target, f_input, f_out, 0)
-                .sqrt();
-        }
-        let shared_out = SharedAmps::new(out);
-        let shared_target = SharedAmps::new(target);
-        let norm_sqr = exec::pool_run(participants, &|participant: usize| {
-            let (start, len) = chunk_bounds(participant, chunk, dim);
-            // SAFETY: participants own disjoint output/target ranges.
-            let out_chunk = unsafe { shared_out.slice(start, len) };
-            let target_chunk = unsafe { shared_target.slice(start, len) };
-            self.lane_apply_accumulate_both_range(
-                input,
-                out_chunk,
-                target_chunk,
-                f_input,
-                f_out,
-                start,
-            )
-        });
-        norm_sqr.sqrt()
+        self.check_shapes(input, &[out, target]);
+        let (dim, input) = (input.dim(), input.amplitudes());
+        run_pass(
+            context,
+            dim,
+            1,
+            out.amplitudes_mut(),
+            target.amplitudes_mut(),
+            #[inline(always)]
+            |out, target, offset| {
+                self.lane_apply_accumulate_both_range(input, out, target, f_input, f_out, offset)
+            },
+        )
+        .sqrt()
     }
+
+    /// One order of the Chebyshev recurrence as one fused traversal: the
+    /// kernel application, the spectral map, the three-term recurrence and
+    /// the accumulation, which would otherwise be four passes.
+    ///
+    /// With `t_k = T_k`:
+    ///
+    /// * `order.first` (`t_k = T₀`): writes `T₁ = H̃·T₀` into `t_other`
+    ///   and sets `accumulator = order.seed·T₀ + order.factor·T₁`;
+    /// * otherwise: overwrites `t_other` (`T_{k−1}`) with `T_{k+1} =
+    ///   2·H̃·T_k − T_{k−1}` and adds `order.factor·T_{k+1}` to
+    ///   `accumulator`.
+    ///
+    /// `H̃ = (H − order.center)·order.inverse_radius` is the Hamiltonian
+    /// mapped onto the unit spectral interval.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any dimensions differ, or the kernel acts on more qubits
+    /// than the state has.
+    pub(crate) fn chebyshev_order_with(
+        &self,
+        context: &ExecutionContext,
+        t_k: &StateVector,
+        t_other: &mut StateVector,
+        accumulator: &mut StateVector,
+        order: ChebyshevOrder,
+    ) {
+        self.check_shapes(t_k, &[t_other, accumulator]);
+        let (dim, input) = (t_k.dim(), t_k.amplitudes());
+        let (out, target) = (t_other.amplitudes_mut(), accumulator.amplitudes_mut());
+        if order.first {
+            run_pass(
+                context,
+                dim,
+                1,
+                out,
+                target,
+                #[inline(always)]
+                |out, target, offset| {
+                    self.lane_chebyshev_range::<true>(input, out, target, order, offset)
+                },
+            );
+        } else {
+            run_pass(
+                context,
+                dim,
+                1,
+                out,
+                target,
+                #[inline(always)]
+                |out, target, offset| {
+                    self.lane_chebyshev_range::<false>(input, out, target, order, offset)
+                },
+            );
+        }
+    }
+}
+
+/// The scalars of one Chebyshev order, for
+/// [`FusedKernel::chebyshev_order_with`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ChebyshevOrder {
+    /// Center of the spectral interval.
+    pub(crate) center: f64,
+    /// `1 / radius` of the spectral interval.
+    pub(crate) inverse_radius: f64,
+    /// `true` for the pass that forms `T₁` and seeds the accumulator.
+    pub(crate) first: bool,
+    /// The accumulator seed `c₀` (read by the first pass only).
+    pub(crate) seed: f64,
+    /// `(−i)^{k+1}·c_{k+1}`, the weight of the order being written.
+    pub(crate) factor: Complex,
 }
 
 /// A borrowed kernel view driving one fused `H|ψ⟩` write pass over a
@@ -895,6 +1037,7 @@ impl BlockKernel<'_> {
     /// The fused kernel over basis rows `row_offset ..` covering `out`
     /// (`out.len()` is a multiple of `stride`): one write pass, returns the
     /// chunk's squared norm summed over all realization lanes.
+    #[inline(always)]
     fn apply_rows(&self, input: &[Complex], out: &mut [Complex], row_offset: usize) -> f64 {
         let stride = self.stride;
         let diag_index_mask = self.diag_table.len().wrapping_sub(1);
@@ -905,19 +1048,19 @@ impl BlockKernel<'_> {
                 for (pair, chunk) in row.chunks_exact_mut(2 * LANE_WIDTH).enumerate() {
                     let accs = self.lane_row_pair(input, j, pair * 2 * LANE_WIDTH, diag_index_mask);
                     for (n, acc) in accs.into_iter().enumerate() {
-                        norm_acc = norm_acc + acc * acc;
                         store_block(acc, &mut chunk[n * LANE_WIDTH..]);
                     }
                 }
+                norm_acc = sum_norm_sqr(norm_acc, row);
             }
         } else {
             for (k, row) in out.chunks_exact_mut(stride).enumerate() {
                 let j = row_offset + k;
                 for (block, chunk) in row.chunks_exact_mut(LANE_WIDTH).enumerate() {
                     let acc = self.lane_row(input, j, block * LANE_WIDTH, diag_index_mask);
-                    norm_acc = norm_acc + acc * acc;
                     store_block(acc, chunk);
                 }
+                norm_acc = sum_norm_sqr(norm_acc, row);
             }
         }
         norm_acc.horizontal_sum()
@@ -925,6 +1068,7 @@ impl BlockKernel<'_> {
 
     /// [`apply_rows`](Self::apply_rows) with the Taylor accumulation fused
     /// into the same pass: `target += factor · out`, lane by lane.
+    #[inline(always)]
     fn apply_accumulate_rows(
         &self,
         input: &[Complex],
@@ -951,7 +1095,6 @@ impl BlockKernel<'_> {
                     let accs = self.lane_row_pair(input, j, pair * 2 * LANE_WIDTH, diag_index_mask);
                     for (n, acc) in accs.into_iter().enumerate() {
                         let slot = &mut chunk[n * LANE_WIDTH..];
-                        norm_acc = norm_acc + acc * acc;
                         store_block(acc, slot);
                         let target_slot = &mut target_chunk[n * LANE_WIDTH..];
                         let updated =
@@ -959,6 +1102,7 @@ impl BlockKernel<'_> {
                         store_block(updated, target_slot);
                     }
                 }
+                norm_acc = sum_norm_sqr(norm_acc, row);
             }
         } else {
             for (k, (row, target_row)) in out
@@ -973,12 +1117,12 @@ impl BlockKernel<'_> {
                     .enumerate()
                 {
                     let acc = self.lane_row(input, j, block * LANE_WIDTH, diag_index_mask);
-                    norm_acc = norm_acc + acc * acc;
                     store_block(acc, chunk);
                     let updated =
                         load_block(target_chunk, 0) + acc.mul_complex(factor.re, factor.im);
                     store_block(updated, target_chunk);
                 }
+                norm_acc = sum_norm_sqr(norm_acc, row);
             }
         }
         norm_acc.horizontal_sum()
@@ -987,6 +1131,7 @@ impl BlockKernel<'_> {
     /// [`apply_accumulate_rows`](Self::apply_accumulate_rows) with **two**
     /// Taylor terms retired in the same pass:
     /// `target += f_input · input + f_out · out`.
+    #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn apply_accumulate_both_rows(
         &self,
@@ -1017,7 +1162,6 @@ impl BlockKernel<'_> {
                     for (n, acc) in accs.into_iter().enumerate() {
                         let base = j * stride + lane + n * LANE_WIDTH;
                         let slot = &mut chunk[n * LANE_WIDTH..];
-                        norm_acc = norm_acc + acc * acc;
                         store_block(acc, slot);
                         let target_slot = &mut target_chunk[n * LANE_WIDTH..];
                         let update = load_block(input, base).mul_complex(f_input.re, f_input.im)
@@ -1025,6 +1169,7 @@ impl BlockKernel<'_> {
                         store_block(load_block(target_slot, 0) + update, target_slot);
                     }
                 }
+                norm_acc = sum_norm_sqr(norm_acc, row);
             }
         } else {
             for (k, (row, target_row)) in out
@@ -1040,12 +1185,12 @@ impl BlockKernel<'_> {
                 {
                     let base = j * stride + block * LANE_WIDTH;
                     let acc = self.lane_row(input, j, block * LANE_WIDTH, diag_index_mask);
-                    norm_acc = norm_acc + acc * acc;
                     store_block(acc, chunk);
                     let update = load_block(input, base).mul_complex(f_input.re, f_input.im)
                         + acc.mul_complex(f_out.re, f_out.im);
                     store_block(load_block(target_chunk, 0) + update, target_chunk);
                 }
+                norm_acc = sum_norm_sqr(norm_acc, row);
             }
         }
         norm_acc.horizontal_sum()
@@ -1079,22 +1224,17 @@ impl BlockKernel<'_> {
         out: &mut RealizationBlock,
     ) -> f64 {
         self.check_shapes(input, out);
-        let dim = input.dim();
-        let stride = self.stride;
-        let input = input.as_slice();
-        let out = out.as_mut_slice();
-        let (participants, chunk) = context.plan(dim);
-        if participants <= 1 {
-            return self.apply_rows(input, out, 0).sqrt();
-        }
-        let shared_out = SharedAmps::new(out);
-        let norm_sqr = exec::pool_run(participants, &|participant: usize| {
-            let (start, len) = chunk_bounds(participant, chunk, dim);
-            // SAFETY: participants own disjoint row ranges.
-            let out_chunk = unsafe { shared_out.slice(start * stride, len * stride) };
-            self.apply_rows(input, out_chunk, start)
-        });
-        norm_sqr.sqrt()
+        let (dim, input) = (input.dim(), input.as_slice());
+        run_pass(
+            context,
+            dim,
+            self.stride,
+            out.as_mut_slice(),
+            &mut [],
+            #[inline(always)]
+            |out, _, row_offset| self.apply_rows(input, out, row_offset),
+        )
+        .sqrt()
     }
 
     /// [`apply_into_with`](Self::apply_into_with) with `target += factor ·
@@ -1114,27 +1254,19 @@ impl BlockKernel<'_> {
     ) -> f64 {
         self.check_shapes(input, out);
         self.check_shapes(input, target);
-        let dim = input.dim();
-        let stride = self.stride;
-        let input = input.as_slice();
-        let out = out.as_mut_slice();
-        let target = target.as_mut_slice();
-        let (participants, chunk) = context.plan(dim);
-        if participants <= 1 {
-            return self
-                .apply_accumulate_rows(input, out, target, factor, 0)
-                .sqrt();
-        }
-        let shared_out = SharedAmps::new(out);
-        let shared_target = SharedAmps::new(target);
-        let norm_sqr = exec::pool_run(participants, &|participant: usize| {
-            let (start, len) = chunk_bounds(participant, chunk, dim);
-            // SAFETY: participants own disjoint row ranges.
-            let out_chunk = unsafe { shared_out.slice(start * stride, len * stride) };
-            let target_chunk = unsafe { shared_target.slice(start * stride, len * stride) };
-            self.apply_accumulate_rows(input, out_chunk, target_chunk, factor, start)
-        });
-        norm_sqr.sqrt()
+        let (dim, input) = (input.dim(), input.as_slice());
+        run_pass(
+            context,
+            dim,
+            self.stride,
+            out.as_mut_slice(),
+            target.as_mut_slice(),
+            #[inline(always)]
+            |out, target, row_offset| {
+                self.apply_accumulate_rows(input, out, target, factor, row_offset)
+            },
+        )
+        .sqrt()
     }
 
     /// [`apply_accumulate_into_with`](Self::apply_accumulate_into_with) with
@@ -1159,28 +1291,88 @@ impl BlockKernel<'_> {
     ) -> f64 {
         self.check_shapes(input, out);
         self.check_shapes(input, target);
-        let dim = input.dim();
-        let stride = self.stride;
-        let input = input.as_slice();
-        let out = out.as_mut_slice();
-        let target = target.as_mut_slice();
-        let (participants, chunk) = context.plan(dim);
-        if participants <= 1 {
-            return self
-                .apply_accumulate_both_rows(input, out, target, f_input, f_out, 0)
-                .sqrt();
-        }
-        let shared_out = SharedAmps::new(out);
-        let shared_target = SharedAmps::new(target);
-        let norm_sqr = exec::pool_run(participants, &|participant: usize| {
-            let (start, len) = chunk_bounds(participant, chunk, dim);
-            // SAFETY: participants own disjoint row ranges.
-            let out_chunk = unsafe { shared_out.slice(start * stride, len * stride) };
-            let target_chunk = unsafe { shared_target.slice(start * stride, len * stride) };
-            self.apply_accumulate_both_rows(input, out_chunk, target_chunk, f_input, f_out, start)
-        });
-        norm_sqr.sqrt()
+        let (dim, input) = (input.dim(), input.as_slice());
+        run_pass(
+            context,
+            dim,
+            self.stride,
+            out.as_mut_slice(),
+            target.as_mut_slice(),
+            #[inline(always)]
+            |out, target, row_offset| {
+                self.apply_accumulate_both_rows(input, out, target, f_input, f_out, row_offset)
+            },
+        )
+        .sqrt()
     }
+}
+
+/// Runs one fused kernel pass over the output rows `0..rows` (`row_len`
+/// amplitudes each: 1 for a state, the stride for a realization block) and
+/// returns the sum of the per-chunk results.
+///
+/// `range(out_chunk, target_chunk, first_row)` is the lane-kernel body. It
+/// runs compiled for the host's [`KernelIsa`](crate::exec::KernelIsa)
+/// through [`exec::dispatch`], so it must be an `#[inline(always)]` closure
+/// calling `#[inline(always)]` range functions. Above the context's
+/// parallel threshold the worker pool splits the rows into contiguous
+/// lane-aligned chunks; every output row is written by exactly one
+/// participant, and reads gather from the shared input. `target` is either
+/// empty (the pass has no second output; every chunk gets an empty slice)
+/// or as long as `out`.
+fn run_pass<F>(
+    context: &ExecutionContext,
+    rows: usize,
+    row_len: usize,
+    out: &mut [Complex],
+    target: &mut [Complex],
+    range: F,
+) -> f64
+where
+    F: Fn(&mut [Complex], &mut [Complex], usize) -> f64 + Sync,
+{
+    assert_eq!(out.len(), rows * row_len, "output length mismatch");
+    assert!(
+        target.is_empty() || target.len() == out.len(),
+        "target length mismatch"
+    );
+    let (participants, chunk) = context.plan(rows);
+    if participants <= 1 {
+        return exec::dispatch(
+            #[inline(always)]
+            || range(out, target, 0),
+        );
+    }
+    let has_target = !target.is_empty();
+    let shared_out = SharedAmps::new(out);
+    let shared_target = SharedAmps::new(target);
+    exec::pool_run(participants, &|participant: usize| {
+        let (start, len) = chunk_bounds(participant, chunk, rows);
+        // SAFETY: participants own disjoint row ranges inside `0..rows`, and
+        // both buffers hold `rows · row_len` amplitudes (asserted above).
+        let out_chunk = unsafe { shared_out.slice(start * row_len, len * row_len) };
+        let target_chunk: &mut [Complex] = if has_target {
+            // SAFETY: as for `out_chunk`.
+            unsafe { shared_target.slice(start * row_len, len * row_len) }
+        } else {
+            &mut []
+        };
+        exec::dispatch(
+            #[inline(always)]
+            || range(out_chunk, target_chunk, start),
+        )
+    })
+}
+
+/// `factor · block` for every complex pair, with both halves of the product
+/// always formed: the operations, in the order, of the scalar `Complex`
+/// product (`re·x − im·y`, `re·y + im·x`), so a lane result equals the
+/// scalar one bit for bit. [`F64x8::mul_complex`] skips a zero half, which
+/// can flip the sign of a zero.
+#[inline(always)]
+fn mul_complex_full(block: F64x8, factor: Complex) -> F64x8 {
+    let (re, im) = (factor.re, factor.im);
+    block.scale(re) + block.swap_pairs() * F64x8([-im, im, -im, im, -im, im, -im, im])
 }
 
 /// The `±1` sign of basis state `i` under a diagonal `z_mask`:
@@ -1209,6 +1401,28 @@ fn load_block(amps: &[Complex], base: usize) -> F64x8 {
         out[2 * k + 1] = amp.im;
     }
     F64x8(out)
+}
+
+/// Amplitudes per norm tile of a [`FusedKernel`] range (4 KiB of output):
+/// a tile is still in L1 when [`sum_norm_sqr`] reads it back.
+const NORM_TILE: usize = 64 * LANE_WIDTH;
+
+/// Adds the squared moduli of `tile`'s lane blocks to `norm_acc`, block by
+/// block in output order.
+///
+/// The Taylor lane kernels return `‖H|ψ⟩‖²`. Summed by a loop-carried
+/// [`F64x8`] inside the kernel loop, it keeps the AVX-512 build of that
+/// loop no faster than the baseline one; summed here, one tile (or one
+/// [`BlockKernel`] row) after it is written, it leaves the kernel loop free
+/// to widen. The additions are the same, in the same order, so the norm is
+/// the same bits.
+#[inline(always)]
+fn sum_norm_sqr(mut norm_acc: F64x8, tile: &[Complex]) -> F64x8 {
+    for chunk in tile.chunks_exact(LANE_WIDTH) {
+        let block = load_block(chunk, 0);
+        norm_acc = norm_acc + block * block;
+    }
+    norm_acc
 }
 
 /// Stores an [`F64x8`] block back into the first [`LANE_WIDTH`] amplitudes
@@ -1565,6 +1779,265 @@ mod tests {
         compiled.apply_into(&state, &mut out);
         assert_close(out.amplitudes()[1], Complex::ONE);
         assert_entry_points_match_naive(&one_qubit_tabled_hamiltonian(), &ramp_state(1));
+    }
+
+    /// `every_class_hamiltonian` with a lone diagonal term, which the
+    /// kernel evaluates on the fly instead of tabling.
+    fn untabled_hamiltonian(num_qubits: usize) -> Hamiltonian {
+        Hamiltonian::from_terms(
+            num_qubits,
+            [
+                (0.7, PauliString::single(0, Pauli::Z)),
+                (0.9, PauliString::single(1, Pauli::X)),
+                (0.35, PauliString::single(3, Pauli::X)),
+                (-0.6, PauliString::single(0, Pauli::Y)),
+                (0.25, PauliString::two(2, Pauli::Z, 1, Pauli::Y)),
+            ],
+        )
+    }
+
+    /// The IEEE bit patterns of `amps`: equal bits, not just equal values
+    /// (`-0.0 == 0.0`).
+    fn bits(amps: &[Complex]) -> Vec<(u64, u64)> {
+        amps.iter()
+            .map(|a| (a.re.to_bits(), a.im.to_bits()))
+            .collect()
+    }
+
+    /// One Chebyshev order as the four passes the fused order replaces:
+    /// apply, map onto the unit interval, recurrence (or, for the first
+    /// order, copy and seed), accumulate.
+    fn four_pass_order(
+        kernel: FusedKernel<'_>,
+        context: &ExecutionContext,
+        t_k: &StateVector,
+        t_other: &mut StateVector,
+        accumulator: &mut StateVector,
+        order: ChebyshevOrder,
+    ) {
+        let mut mapped = StateVector::zeros(t_k.num_qubits());
+        kernel.apply_into_with(context, t_k, &mut mapped);
+        for (slot, v) in mapped.amplitudes_mut().iter_mut().zip(t_k.amplitudes()) {
+            *slot = (*slot - v.scale(order.center)).scale(order.inverse_radius);
+        }
+        if order.first {
+            t_other.copy_from(&mapped);
+            accumulator.copy_from(t_k);
+            accumulator.scale(order.seed);
+        } else {
+            for (prev, w) in t_other.amplitudes_mut().iter_mut().zip(mapped.amplitudes()) {
+                *prev = w.scale(2.0) - *prev;
+            }
+        }
+        accumulator.accumulate(order.factor, t_other);
+    }
+
+    /// Runs the first six Chebyshev orders of `h` from `state` through the
+    /// fused pass and through the four-pass composition, and asserts every
+    /// recurrence vector and accumulator are equal bit for bit.
+    fn assert_fused_chebyshev_matches_four_passes(
+        h: &Hamiltonian,
+        state: &StateVector,
+        context: &ExecutionContext,
+    ) {
+        let compiled = CompiledHamiltonian::compile(h);
+        let kernel = compiled.kernel();
+        let bound = compiled.spectral_bound();
+        let n = state.num_qubits();
+        let mut fused = [state.clone(), StateVector::zeros(n), StateVector::zeros(n)];
+        let mut reference = fused.clone();
+        let mut phase = -Complex::I;
+        for k in 1..=6 {
+            let order = ChebyshevOrder {
+                center: bound.center,
+                inverse_radius: 1.0 / bound.radius,
+                first: k == 1,
+                seed: 0.45,
+                factor: phase.scale(0.8 / k as f64),
+            };
+            for (fuse, [prev, curr, acc]) in [(true, &mut fused), (false, &mut reference)] {
+                let run = |t_k: &StateVector, t_other: &mut StateVector, acc| {
+                    if fuse {
+                        kernel.chebyshev_order_with(context, t_k, t_other, acc, order);
+                    } else {
+                        four_pass_order(kernel, context, t_k, t_other, acc, order);
+                    }
+                };
+                if order.first {
+                    run(prev, curr, acc);
+                } else {
+                    run(curr, prev, acc);
+                    std::mem::swap(prev, curr);
+                }
+            }
+            for (a, b) in fused.iter().zip(&reference) {
+                assert_eq!(bits(a.amplitudes()), bits(b.amplitudes()), "order {k}");
+            }
+            phase *= -Complex::I;
+        }
+    }
+
+    #[test]
+    fn fused_chebyshev_order_matches_four_passes_bitwise() {
+        let inline = ExecutionContext::auto().with_threads(1);
+        for h in [every_class_hamiltonian(4), untabled_hamiltonian(4)] {
+            assert_fused_chebyshev_matches_four_passes(&h, &ramp_state(5), &inline);
+        }
+        // States narrower than one lane block run the per-amplitude tail.
+        let lone_diagonal = Hamiltonian::from_terms(
+            1,
+            [
+                (0.7, PauliString::single(0, Pauli::Z)),
+                (0.5, PauliString::single(0, Pauli::X)),
+            ],
+        );
+        for h in [one_qubit_tabled_hamiltonian(), lone_diagonal] {
+            assert_fused_chebyshev_matches_four_passes(&h, &ramp_state(1), &inline);
+        }
+        // The pool path: two workers, the threshold lowered below the state.
+        let pooled = ExecutionContext::auto()
+            .with_threads(2)
+            .with_parallel_threshold(0);
+        for h in [every_class_hamiltonian(4), untabled_hamiltonian(4)] {
+            assert_fused_chebyshev_matches_four_passes(&h, &ramp_state(6), &pooled);
+        }
+    }
+
+    /// Every FusedKernel and BlockKernel lane body, run at each ISA variant
+    /// the host supports, equals the portable body bit for bit.
+    #[test]
+    fn every_isa_variant_matches_the_portable_body_bitwise() {
+        use crate::exec::{run_on, KernelIsa};
+        let n = 5;
+        let (factor, f_input, f_out) = (
+            Complex::new(0.3, -0.8),
+            Complex::new(-0.2, 0.45),
+            Complex::new(0.15, 0.9),
+        );
+        let order = |first| ChebyshevOrder {
+            center: 0.3,
+            inverse_radius: 0.4,
+            first,
+            seed: 0.45,
+            factor,
+        };
+        for h in [every_class_hamiltonian(4), untabled_hamiltonian(4)] {
+            let compiled = CompiledHamiltonian::compile(&h);
+            let kernel = compiled.kernel();
+            let input = ramp_state(n).amplitudes().to_vec();
+            let seed = ramp_state(n)
+                .amplitudes()
+                .iter()
+                .rev()
+                .copied()
+                .collect::<Vec<_>>();
+            let fused_bodies = |isa| {
+                let mut outs = Vec::new();
+                for body in 0..5 {
+                    let (mut out, mut target) = (seed.clone(), seed.clone());
+                    let norm = run_on(
+                        isa,
+                        #[inline(always)]
+                        || match body {
+                            0 => kernel.lane_apply_range(&input, &mut out, 0),
+                            1 => kernel.lane_apply_accumulate_range(
+                                &input,
+                                &mut out,
+                                &mut target,
+                                factor,
+                                0,
+                            ),
+                            2 => kernel.lane_apply_accumulate_both_range(
+                                &input,
+                                &mut out,
+                                &mut target,
+                                f_input,
+                                f_out,
+                                0,
+                            ),
+                            3 => kernel.lane_chebyshev_range::<true>(
+                                &input,
+                                &mut out,
+                                &mut target,
+                                order(true),
+                                0,
+                            ),
+                            _ => kernel.lane_chebyshev_range::<false>(
+                                &input,
+                                &mut out,
+                                &mut target,
+                                order(false),
+                                0,
+                            ),
+                        },
+                    );
+                    outs.push((norm.to_bits(), bits(&out), bits(&target)));
+                }
+                outs
+            };
+            for stride in [4, 8] {
+                let scale_pairs: Vec<f64> = (0..2 * stride)
+                    .map(|k| 0.9 + 0.05 * (k / 2) as f64)
+                    .collect();
+                let block = BlockKernel {
+                    num_qubits: kernel.num_qubits,
+                    stride,
+                    diag_table: kernel.diag_table,
+                    diag_masks: kernel.diag_masks,
+                    diag_weights: kernel.diag_weights,
+                    flip_masks: kernel.flip_masks,
+                    flip_weights: kernel.flip_weights,
+                    gather_terms: kernel.gather_terms,
+                    gather_weights: kernel.gather_weights,
+                    scale_pairs: &scale_pairs,
+                };
+                let rows = ramp_state(n + stride.trailing_zeros() as usize);
+                let block_input = rows.amplitudes();
+                let block_bodies = |isa| {
+                    let mut outs = Vec::new();
+                    for body in 0..3 {
+                        let mut out = block_input.iter().rev().copied().collect::<Vec<_>>();
+                        let mut target = out.clone();
+                        let norm = run_on(
+                            isa,
+                            #[inline(always)]
+                            || match body {
+                                0 => block.apply_rows(block_input, &mut out, 0),
+                                1 => block.apply_accumulate_rows(
+                                    block_input,
+                                    &mut out,
+                                    &mut target,
+                                    factor,
+                                    0,
+                                ),
+                                _ => block.apply_accumulate_both_rows(
+                                    block_input,
+                                    &mut out,
+                                    &mut target,
+                                    f_input,
+                                    f_out,
+                                    0,
+                                ),
+                            },
+                        );
+                        outs.push((norm.to_bits(), bits(&out), bits(&target)));
+                    }
+                    outs
+                };
+                let portable = block_bodies(KernelIsa::Portable);
+                for isa in KernelIsa::ALL.into_iter().filter(|isa| isa.is_supported()) {
+                    assert_eq!(
+                        block_bodies(isa),
+                        portable,
+                        "block stride {stride}, {isa:?}"
+                    );
+                }
+            }
+            let portable = fused_bodies(KernelIsa::Portable);
+            for isa in KernelIsa::ALL.into_iter().filter(|isa| isa.is_supported()) {
+                assert_eq!(fused_bodies(isa), portable, "{isa:?}");
+            }
+        }
     }
 
     #[test]

@@ -23,6 +23,12 @@
 //!   `std::simd`) whose elementwise loops the autovectorizer reliably lowers
 //!   to packed instructions. `FusedKernel` and `BlockKernel` are written
 //!   entirely in terms of these.
+//! * [`KernelIsa`] — the instruction set the lane kernels run at, detected
+//!   once at run time. Every lane-kernel body is compiled once per ISA
+//!   (AVX-512, AVX2 + FMA, the portable baseline) through one crate-private
+//!   dispatch helper, so a binary built for baseline x86-64 still fills the
+//!   host's vector registers. Rust never contracts `a·b + c` into an FMA,
+//!   so every variant computes the same bits.
 //! * [`Passes`] — the analytically-exact amplitude-pass counter. Every
 //!   primitive state operation has a fixed cost
 //!   (see the method docs on [`Passes`]); steppers tick the counter at each
@@ -41,6 +47,127 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::compiled::PARALLEL_THRESHOLD_QUBITS;
+
+// ---------------------------------------------------------------------------
+// Instruction-set dispatch
+// ---------------------------------------------------------------------------
+
+/// The instruction set the lane kernels run at.
+///
+/// The crate is built for the target's baseline (SSE2 on x86-64), but every
+/// lane-kernel body is also compiled for the wider x86-64 vector ISAs, and
+/// [`KernelIsa::detected`] picks the widest one the host supports at run
+/// time — no build flag, option or environment variable. The variants
+/// compute bit-identical results: the bodies are the same Rust code, and
+/// Rust never fuses a multiply and an add on its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KernelIsa {
+    /// AVX-512F + VL + DQ: one [`F64x8`] fills one 512-bit register.
+    Avx512,
+    /// AVX2 + FMA: one [`F64x8`] is two 256-bit registers.
+    Avx2,
+    /// The build target's baseline vector ISA (SSE2 on x86-64).
+    Portable,
+}
+
+impl KernelIsa {
+    /// Every variant, widest first.
+    pub const ALL: [KernelIsa; 3] = [KernelIsa::Avx512, KernelIsa::Avx2, KernelIsa::Portable];
+
+    /// Short lowercase name, as recorded in the `BENCH_*.json` headers.
+    pub fn name(self) -> &'static str {
+        match self {
+            KernelIsa::Avx512 => "avx512",
+            KernelIsa::Avx2 => "avx2",
+            KernelIsa::Portable => "portable",
+        }
+    }
+
+    /// Whether the host CPU supports every feature the variant is compiled
+    /// with. The x86 variants are never supported on other architectures.
+    pub fn is_supported(self) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            KernelIsa::Avx512 => {
+                is_x86_feature_detected!("avx512f")
+                    && is_x86_feature_detected!("avx512vl")
+                    && is_x86_feature_detected!("avx512dq")
+            }
+            #[cfg(target_arch = "x86_64")]
+            KernelIsa::Avx2 => is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"),
+            #[cfg(not(target_arch = "x86_64"))]
+            KernelIsa::Avx512 | KernelIsa::Avx2 => false,
+            KernelIsa::Portable => true,
+        }
+    }
+
+    /// The widest variant the host supports: the one every lane kernel
+    /// runs at. Detected once per process.
+    pub fn detected() -> KernelIsa {
+        static DETECTED: OnceLock<KernelIsa> = OnceLock::new();
+        *DETECTED.get_or_init(|| {
+            KernelIsa::ALL
+                .into_iter()
+                .find(|isa| isa.is_supported())
+                .unwrap_or(KernelIsa::Portable)
+        })
+    }
+}
+
+/// Runs a lane-kernel body compiled for the host's [`KernelIsa`].
+///
+/// `body` must be an `#[inline(always)]` closure whose callees down to the
+/// lane loops are `#[inline(always)]` too: only code inlined into the
+/// `#[target_feature]` wrapper below is compiled for its ISA.
+#[inline(always)]
+pub(crate) fn dispatch<R>(body: impl FnOnce() -> R) -> R {
+    // SAFETY: `detected` only returns a variant whose features the host
+    // supports.
+    unsafe { run_unchecked(KernelIsa::detected(), body) }
+}
+
+/// [`dispatch`] at an explicit variant: how the tests reach every variant
+/// the host supports and compare it against the portable body.
+///
+/// # Panics
+///
+/// Panics if the host does not support `isa`.
+#[cfg(test)]
+pub(crate) fn run_on<R>(isa: KernelIsa, body: impl FnOnce() -> R) -> R {
+    assert!(isa.is_supported(), "the host does not support {isa:?}");
+    // SAFETY: support was checked just above.
+    unsafe { run_unchecked(isa, body) }
+}
+
+/// Runs `body` inside the `#[target_feature]` wrapper of `isa`.
+///
+/// # Safety
+///
+/// The host must support `isa` ([`KernelIsa::is_supported`]).
+#[inline(always)]
+unsafe fn run_unchecked<R>(isa: KernelIsa, body: impl FnOnce() -> R) -> R {
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the caller guarantees AVX-512F, VL and DQ.
+        KernelIsa::Avx512 => unsafe { run_avx512(body) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the caller guarantees AVX2 and FMA.
+        KernelIsa::Avx2 => unsafe { run_avx2(body) },
+        _ => body(),
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vl,avx512dq")]
+fn run_avx512<R>(body: impl FnOnce() -> R) -> R {
+    body()
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn run_avx2<R>(body: impl FnOnce() -> R) -> R {
+    body()
+}
 
 /// Number of complex amplitudes processed per SIMD lane block.
 ///
@@ -136,6 +263,20 @@ impl std::ops::Add for F64x8 {
         let mut out = self.0;
         for (lane, r) in out.iter_mut().zip(rhs.0) {
             *lane += r;
+        }
+        F64x8(out)
+    }
+}
+
+/// Lanewise difference.
+impl std::ops::Sub for F64x8 {
+    type Output = F64x8;
+
+    #[inline(always)]
+    fn sub(self, rhs: F64x8) -> F64x8 {
+        let mut out = self.0;
+        for (lane, r) in out.iter_mut().zip(rhs.0) {
+            *lane -= r;
         }
         F64x8(out)
     }
@@ -687,7 +828,8 @@ fn worker_loop(shared: &PoolShared, id: usize) {
 /// | [`Passes::inner`] | 2 | read both operands |
 /// | [`Passes::apply`] | 2 | read input, write output |
 /// | [`Passes::apply_accumulate`] | 4 | read input, write series, read+write target |
-/// | [`Passes::fused_map`] | 3 | read out, read input, write out |
+/// | [`Passes::chebyshev_first`] | 3 | read `T₀`, write `T₁`, write accumulator |
+/// | [`Passes::chebyshev_step`] | 5 | read `T_k`, read+write `T_{k−1}`, read+write accumulator |
 /// | [`Passes::rescale`] | 3 | norm (1) + scale (2) |
 ///
 /// Because every stepper ticks these at each operation, `state_passes` is
@@ -759,10 +901,16 @@ impl Passes {
         self.0 += 4;
     }
 
-    /// One fused affine map over an applied vector
-    /// (`out = (out − center·input) / radius`): 3 passes.
-    pub fn fused_map(&mut self) {
+    /// The Chebyshev recurrence's first order in one traversal
+    /// (`T₁ = H̃·T₀`, accumulator `= c₀·T₀ + f₁·T₁`): 3 passes.
+    pub fn chebyshev_first(&mut self) {
         self.0 += 3;
+    }
+
+    /// One Chebyshev order in one traversal (`T_{k+1} = 2·H̃·T_k − T_{k−1}`
+    /// over `T_{k−1}`, accumulator `+= f_{k+1}·T_{k+1}`): 5 passes.
+    pub fn chebyshev_step(&mut self) {
+        self.0 += 5;
     }
 
     /// One norm-checked rescale (`norm` + `scale`): 3 passes.
@@ -861,9 +1009,10 @@ mod tests {
         passes.inner();
         passes.apply();
         passes.apply_accumulate();
-        passes.fused_map();
+        passes.chebyshev_first();
+        passes.chebyshev_step();
         passes.rescale();
-        assert_eq!(passes.count(), 2 + 2 + 1 + 1 + 3 + 2 + 2 + 4 + 3 + 3);
+        assert_eq!(passes.count(), 2 + 2 + 1 + 1 + 3 + 2 + 2 + 4 + 3 + 5 + 3);
         passes.reset();
         assert_eq!(passes.count(), 0);
     }

@@ -58,7 +58,10 @@
 //!   of four amplitudes in [`exec::F64x8`] registers (portable
 //!   fixed-size-array newtypes the autovectorizer lowers to packed
 //!   instructions), with a per-amplitude tail loop for states smaller than
-//!   one block. The naive per-term apply
+//!   one block. Each body is compiled for AVX-512, AVX2 + FMA and the
+//!   portable baseline, and runs at the widest ISA the host supports
+//!   ([`exec::KernelIsa`], detected at run time; the variants give the same
+//!   bits). The naive per-term apply
 //!   ([`propagate::apply_hamiltonian_naive`]) is the conformance reference,
 //!   pinned to the lane kernels at 1e-12 by the test suite.
 //! * **Threshold tuning.** `EvolveOptions::with_threads(n)` /

@@ -38,8 +38,9 @@
 //!   compiled term weights ([`SpectralBound`]), with Bessel-function
 //!   coefficients from [`qturbo_math::chebyshev`]. The whole segment is one
 //!   step of `≈ r·t + O((r·t)^⅓)` applications (`r` the spectral radius) —
-//!   asymptotically optimal for long evolutions, and only three state-sized
-//!   scratch vectors regardless of duration. Best when `‖H‖·t ≫ 1` and the
+//!   asymptotically optimal for long evolutions, each order one fused
+//!   traversal of the state, and only three state-sized scratch vectors
+//!   regardless of duration. Best when `‖H‖·t ≫ 1` and the
 //!   spectral-interval estimate is tight (e.g. diagonal-dominated models).
 //!
 //! # Choosing a stepper
@@ -59,8 +60,8 @@
 //! [`qturbo_math::chebyshev::chebyshev_exp_order`], Krylov from a linear
 //! phase model fitted to `BENCH_stepper.json`) and weights it by a relative
 //! wall-clock cost per application (Krylov's orthogonalization sweeps make
-//! its applications ~2.5x a Taylor application; Chebyshev's interval mapping
-//! adds ~15%). The decision is per *segment*, so a schedule of short ramp
+//! its applications ~2.5x a Taylor application; Chebyshev is priced at
+//! 1.15x, see [`AutoCostModel::chebyshev_application_cost`]). The decision is per *segment*, so a schedule of short ramp
 //! segments runs Taylor while a long quench in the same process runs
 //! Chebyshev — and the crossovers are data, not code: override the
 //! calibration via [`EvolveOptions::with_auto_model`].
@@ -95,7 +96,7 @@
 //! [`crate::EmulatedDevice`]) accepts an options value, so constant,
 //! piecewise, and compiled-schedule workloads can each pick their backend.
 
-use crate::compiled::{BlockKernel, FusedKernel};
+use crate::compiled::{BlockKernel, ChebyshevOrder, FusedKernel};
 use crate::error::EvolveError;
 use crate::exec::{ExecutionContext, Passes};
 use crate::state::{RealizationBlock, StateVector};
@@ -359,14 +360,20 @@ pub struct AutoCostModel {
     /// with every application, measured at ~2–3.3x a Taylor application in
     /// `BENCH_stepper.json`.
     pub krylov_application_cost: f64,
-    /// Relative wall cost of one Chebyshev kernel application (the spectral
-    /// interval mapping adds one subtract-and-scale pass, ~1.1x measured).
+    /// Relative wall cost of one Chebyshev kernel application. Each order
+    /// is one fused traversal (kernel, spectral map, recurrence and
+    /// accumulation), which on a one-worker AVX-512 host measures
+    /// 1.15–1.2x a Taylor application (8–14-qubit MIS ramps and
+    /// Heisenberg quenches).
     pub chebyshev_application_cost: f64,
     /// Chebyshev's per-segment setup, in application-equivalents: the
     /// Bessel-coefficient build plus the fixed state-sized passes (seed the
-    /// recurrence, apply the global phase, rescale) that every segment pays
-    /// regardless of expansion order. This is what keeps Taylor the choice
-    /// on many-short-segment ramps, matching the measured wall times.
+    /// recurrence, norm check, phase-and-rescale write-back) that every
+    /// segment pays regardless of expansion order. The same measurement
+    /// puts it at 0–0.5 on the MIS ramps; the default stays 3 so Auto's
+    /// per-segment decisions do not move (priced lower, Chebyshev would
+    /// take the tiniest segments from batched Taylor, where the two measure
+    /// within noise of each other).
     pub chebyshev_base_applications: f64,
     /// Estimated Krylov applications per unit of spectral phase
     /// (`radius · Δt`). `BENCH_stepper.json` measures 1.5–1.8 on the
@@ -1866,11 +1873,18 @@ impl KrylovStepper {
 /// per retained order, `≈ r·t + O((r·t)^⅓)` in total. No step splitting:
 /// doubling the duration adds roughly the spectral phase span worth of
 /// applications instead of doubling them.
+///
+/// Each order is **one traversal** of the state (a fused [`FusedKernel`]
+/// entry point): the kernel application, the
+/// spectral map, the recurrence `T_{k+1} = 2·H̃·T_k − T_{k−1}` (written over
+/// `T_{k−1}`) and the accumulation of `(−i)^{k+1}·c_{k+1}·T_{k+1}` share one
+/// block loop, 5 amplitude passes per order. The first order also seeds the
+/// accumulator with `c₀·ψ` in its pass. Three state-sized scratch vectors
+/// (`T_{k−1}`, `T_k`, the accumulator) whatever the duration.
 #[derive(Debug, Clone)]
 pub struct ChebyshevStepper {
     t_prev: StateVector,
     t_curr: StateVector,
-    mapped: StateVector,
     accumulator: StateVector,
     context: ExecutionContext,
     tolerance: f64,
@@ -1899,7 +1913,6 @@ impl ChebyshevStepper {
         ChebyshevStepper {
             t_prev: StateVector::zeros(0),
             t_curr: StateVector::zeros(0),
-            mapped: StateVector::zeros(0),
             accumulator: StateVector::zeros(0),
             context,
             tolerance: validated_tolerance(tolerance),
@@ -1912,26 +1925,8 @@ impl ChebyshevStepper {
         if self.t_prev.num_qubits() != num_qubits || self.t_prev.dim() != 1 << num_qubits {
             self.t_prev = StateVector::zeros(num_qubits);
             self.t_curr = StateVector::zeros(num_qubits);
-            self.mapped = StateVector::zeros(num_qubits);
             self.accumulator = StateVector::zeros(num_qubits);
         }
-    }
-}
-
-/// `out = (H·input − center·input) / radius` — the kernel application mapped
-/// onto the unit spectral interval the Chebyshev recurrence runs on.
-fn apply_mapped(
-    kernel: FusedKernel<'_>,
-    context: &ExecutionContext,
-    input: &StateVector,
-    out: &mut StateVector,
-    center: f64,
-    radius: f64,
-) {
-    kernel.apply_into_with(context, input, out);
-    let inverse_radius = 1.0 / radius;
-    for (slot, v) in out.amplitudes_mut().iter_mut().zip(input.amplitudes()) {
-        *slot = (*slot - v.scale(center)).scale(inverse_radius);
     }
 }
 
@@ -1980,61 +1975,63 @@ impl Stepper for ChebyshevStepper {
                 }
             })?;
 
-        // T_0·ψ = ψ; accumulator starts at c_0·ψ.
-        self.t_prev.copy_from(state);
-        self.passes.copy();
-        self.accumulator.copy_from(state);
-        self.passes.copy();
-        self.accumulator.scale(coefficients[0]);
-        self.passes.scale();
-
-        if coefficients.len() > 1 {
-            // T_1·ψ = H̃·ψ.
-            apply_mapped(
-                kernel,
-                &self.context,
-                &self.t_prev,
-                &mut self.t_curr,
-                center,
-                radius,
-            );
-            self.applications += 1;
-            self.passes.apply();
-            self.passes.fused_map();
-            // (−i)^k phase cycle, starting at k = 1.
-            let mut phase = -Complex::I;
-            self.accumulator
-                .accumulate(phase.scale(coefficients[1]), &self.t_curr);
-            self.passes.axpy();
-            for &coefficient in coefficients.iter().skip(2) {
-                // T_{k+1} = 2·H̃·T_k − T_{k−1}, reusing t_prev's storage.
-                apply_mapped(
-                    kernel,
+        let inverse_radius = 1.0 / radius;
+        match *coefficients.as_slice() {
+            [] => {
+                return Err(EvolveError::InvalidInput {
+                    context: format!("empty Chebyshev expansion (span {span})"),
+                })
+            }
+            // Only c₀ survives the truncation: the sum is c₀·ψ.
+            [seed] => {
+                self.accumulator.copy_from(state);
+                self.passes.copy();
+                self.accumulator.scale(seed);
+                self.passes.scale();
+            }
+            [seed, first, ref rest @ ..] => {
+                // T₀·ψ = ψ, kept in `t_prev` for the first recurrence step.
+                self.t_prev.copy_from(state);
+                self.passes.copy();
+                // (−i)^k phase cycle, starting at k = 1.
+                let mut phase = -Complex::I;
+                // T₁ = H̃·T₀ into `t_curr`; accumulator = c₀·ψ + (−i)·c₁·T₁.
+                kernel.chebyshev_order_with(
                     &self.context,
-                    &self.t_curr,
-                    &mut self.mapped,
-                    center,
-                    radius,
+                    &self.t_prev,
+                    &mut self.t_curr,
+                    &mut self.accumulator,
+                    ChebyshevOrder {
+                        center,
+                        inverse_radius,
+                        first: true,
+                        seed,
+                        factor: phase.scale(first),
+                    },
                 );
                 self.applications += 1;
-                self.passes.apply();
-                self.passes.fused_map();
-                for (prev, w) in self
-                    .t_prev
-                    .amplitudes_mut()
-                    .iter_mut()
-                    .zip(self.mapped.amplitudes())
-                {
-                    *prev = w.scale(2.0) - *prev;
+                self.passes.chebyshev_first();
+                for &coefficient in rest {
+                    // T_{k+1} = 2·H̃·T_k − T_{k−1} over `t_prev`, then the
+                    // two swap roles.
+                    phase *= -Complex::I;
+                    kernel.chebyshev_order_with(
+                        &self.context,
+                        &self.t_curr,
+                        &mut self.t_prev,
+                        &mut self.accumulator,
+                        ChebyshevOrder {
+                            center,
+                            inverse_radius,
+                            first: false,
+                            seed,
+                            factor: phase.scale(coefficient),
+                        },
+                    );
+                    self.applications += 1;
+                    self.passes.chebyshev_step();
+                    std::mem::swap(&mut self.t_prev, &mut self.t_curr);
                 }
-                // The recurrence traversal reads `mapped`, reads and writes
-                // `t_prev` — the same streams as an axpy.
-                self.passes.axpy();
-                std::mem::swap(&mut self.t_prev, &mut self.t_curr);
-                phase *= -Complex::I;
-                self.accumulator
-                    .accumulate(phase.scale(coefficient), &self.t_curr);
-                self.passes.axpy();
             }
         }
 
@@ -2227,6 +2224,30 @@ mod tests {
         let phase = Complex::from_polar_angle(-0.7 * 1.3);
         for (a, b) in evolved.amplitudes().iter().zip(initial.amplitudes()) {
             assert!((*a - phase * *b).abs() < 1e-14);
+        }
+    }
+
+    #[test]
+    fn chebyshev_state_passes_follow_the_closed_form() {
+        // K retained coefficients cost the seed copy (2), the first order
+        // (3), one fused 5-pass traversal per later order, the norm check
+        // (1) and the write-back (2).
+        let h = test_hamiltonian();
+        let compiled = CompiledHamiltonian::compile(&h);
+        let radius = compiled.spectral_bound().radius;
+        for t in [1e-6, 0.5, 4.0, 20.0] {
+            let orders = try_chebyshev_exp_coefficients(radius * t, DEFAULT_TOLERANCE)
+                .map(|c| c.len() as u64)
+                .unwrap_or_else(|error| panic!("{error}"));
+            assert!(orders >= 2, "t={t}: a positive span keeps T₁");
+            let mut chebyshev = ChebyshevStepper::new(DEFAULT_TOLERANCE);
+            let _ = evolve_with_stepper(&mut chebyshev, &h, &StateVector::plus_state(3), t);
+            assert_eq!(chebyshev.kernel_applications(), orders - 1, "t={t}");
+            assert_eq!(
+                chebyshev.state_passes(),
+                2 + 3 + 5 * (orders - 2) + 1 + 2,
+                "t={t}, K={orders}"
+            );
         }
     }
 
