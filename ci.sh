@@ -75,14 +75,18 @@ if [[ "${1:-}" != "--quick" ]]; then
     # never slower than per-segment Taylor).
     cargo run --release -p qturbo-bench --bin bench_stepper
 
-    echo "==> device benchmark (sequential realizations vs SoA realization block)"
+    echo "==> device benchmark (sequential realizations vs SoA realization block, trajectory vs restart)"
     # The bench binary asserts the realization-block acceptance gates:
     # block and sequential observables agree to 1e-10 on every
     # size x realization-count entry, a seeded block sweep is bitwise
     # reproducible across two runs, the sequential sweep's realization 0
     # is bitwise identical to a standalone run(), and at 16 qubits the
     # block path is at least as fast as sequential at R=16 and at least
-    # 1.5x its realizations/sec at R=64.
+    # 1.5x its realizations/sec at R=64. Its 14-qubit one-segment quench
+    # rows (R=8, 32) assert that the trajectory sweep (each realization
+    # continues from the last by its scale difference) agrees with the
+    # two-half-segment restart sweep to 1e-10 and spends at most half its
+    # kernel applications; their wall times are reported, not gated.
     cargo run --release -p qturbo-bench --bin bench_device
 
     echo "==> end-to-end benchmark (compile -> lower -> emulate, QTurbo vs baseline)"

@@ -25,8 +25,22 @@
 //!   standalone [`EmulatedDevice::run`],
 //! * at 16 qubits the block path is at least as fast as the sequential
 //!   path at R = 16, and at least 1.5× its realizations/sec at R = 64.
+//!
+//! A second set of rows (`quench_entries`) times the sequential sweep of a
+//! one-segment 14-qubit Heisenberg quench under `Auto` at R = 8 and 32. A
+//! one-segment sweep runs as one trajectory: each realization continues
+//! from the previous one by its scale difference. It is compared against
+//! the same evolution split into two half-duration segments, which
+//! restarts every realization from `|0⟩`. The rows record wall time,
+//! realizations/sec and kernel applications of both, and assert:
+//!
+//! * the two sweeps agree to 1e-10 on every observable,
+//! * the trajectory spends at most half the restart sweep's kernel
+//!   applications (counts repeat exactly; wall times are reported but not
+//!   gated, since they do not repeat on a shared 2-vCPU host).
 
-use qturbo_bench::timing::{bench, Json};
+use qturbo_bench::timing::{bench, bench_interleaved, Json};
+use qturbo_hamiltonian::models::heisenberg_chain;
 use qturbo_hamiltonian::{Hamiltonian, Pauli, PauliString};
 use qturbo_quantum::exec::KernelIsa;
 use qturbo_quantum::schedule::CompiledSchedule;
@@ -39,6 +53,10 @@ const SEGMENT_DT: f64 = 0.03;
 const AGREEMENT: f64 = 1e-10;
 /// Wall-clock jitter allowance on the throughput gates (sub-10 ms runs).
 const JITTER_S: f64 = 0.002;
+/// Register, realization counts and duration of the one-segment quench rows.
+const QUENCH_QUBITS: usize = 14;
+const QUENCH_REALIZATIONS: [usize; 2] = [8, 32];
+const QUENCH_TIME: f64 = 1.0;
 
 /// The dense ramp: per-qubit Z detunings sweeping sign, a phase-modulated
 /// `cos φ · X + sin φ · Y` drive, nearest-neighbour ZZ couplings.
@@ -186,6 +204,92 @@ fn entry(
     ])
 }
 
+/// Kernel applications of a traced sweep, summed over its realizations.
+fn sweep_applications(runs: &[DeviceRun]) -> u64 {
+    runs.iter()
+        .map(|run| {
+            run.profile
+                .as_ref()
+                .map_or(0, |profile| profile.applications())
+        })
+        .sum()
+}
+
+/// One quench row: the one-segment trajectory sweep against the
+/// two-half-segment restart sweep at `realizations`.
+fn quench_entry(realizations: usize) -> Json {
+    let hamiltonian = heisenberg_chain(QUENCH_QUBITS, 1.0, 1.0);
+    let trajectory = CompiledSchedule::compile(&[(hamiltonian.clone(), QUENCH_TIME)]);
+    let restart = CompiledSchedule::compile(&[
+        (hamiltonian.clone(), QUENCH_TIME / 2.0),
+        (hamiltonian, QUENCH_TIME / 2.0),
+    ]);
+    let device = |telemetry: bool| {
+        EmulatedDevice::new(noise(), 23)
+            .with_options(EvolveOptions::auto().with_telemetry(telemetry))
+    };
+
+    // --- Gates (untimed, traced): 1e-10 agreement and at most half the
+    // restart sweep's kernel applications. ---
+    let traced = device(true);
+    let trajectory_runs = traced.run_compiled(&trajectory, QUENCH_QUBITS, false, realizations);
+    let restart_runs = traced.run_compiled(&restart, QUENCH_QUBITS, false, realizations);
+    let deviation = max_observable_deviation(&trajectory_runs, &restart_runs);
+    assert!(
+        deviation < AGREEMENT,
+        "{QUENCH_QUBITS}q quench R={realizations}: trajectory deviates from restart by {deviation}"
+    );
+    let trajectory_applications = sweep_applications(&trajectory_runs);
+    let restart_applications = sweep_applications(&restart_runs);
+    assert!(
+        trajectory_applications > 0 && 2 * trajectory_applications <= restart_applications,
+        "{QUENCH_QUBITS}q quench R={realizations}: trajectory spends {trajectory_applications} \
+         kernel applications, over half the restart sweep's {restart_applications}"
+    );
+
+    // --- Timed sweeps, untraced and interleaved. ---
+    let untraced = device(false);
+    let mut schedules = [&trajectory, &restart];
+    let samples = bench_interleaved(3, &mut schedules, |schedule| {
+        let runs = untraced.run_compiled(schedule, QUENCH_QUBITS, false, realizations);
+        std::hint::black_box(&runs);
+    });
+    let (trajectory_sample, restart_sample) = (samples[0], samples[1]);
+    let speedup = restart_sample.min / trajectory_sample.min.max(1e-12);
+    println!(
+        "  {QUENCH_QUBITS}q quench R={realizations:<3}  restart {:>8.4}s ({restart_applications} applications)  \
+         trajectory {:>8.4}s ({trajectory_applications})  ({speedup:>5.2}x, max dev {deviation:.2e})",
+        restart_sample.min, trajectory_sample.min
+    );
+    Json::object(vec![
+        ("qubits", Json::Number(QUENCH_QUBITS as f64)),
+        ("realizations", Json::Number(realizations as f64)),
+        ("duration", Json::Number(QUENCH_TIME)),
+        (
+            "trajectory",
+            path_json(
+                trajectory_sample.median,
+                trajectory_sample.min,
+                realizations,
+            ),
+        ),
+        (
+            "restart",
+            path_json(restart_sample.median, restart_sample.min, realizations),
+        ),
+        (
+            "trajectory_kernel_applications",
+            Json::Number(trajectory_applications as f64),
+        ),
+        (
+            "restart_kernel_applications",
+            Json::Number(restart_applications as f64),
+        ),
+        ("speedup", Json::Number(speedup)),
+        ("max_abs_dev", Json::Number(deviation)),
+    ])
+}
+
 fn main() {
     println!(
         "device sweep benchmark: sequential vs realization-block, {} worker threads available",
@@ -199,6 +303,10 @@ fn main() {
             entries.push(entry(qubits, realizations, &segments, &schedule));
         }
     }
+    let quench_entries: Vec<Json> = QUENCH_REALIZATIONS
+        .iter()
+        .map(|&realizations| quench_entry(realizations))
+        .collect();
     let report = Json::object(vec![
         ("benchmark", Json::string("device")),
         ("workload", Json::string("dense_ramp_miscalibration_sweep")),
@@ -209,6 +317,11 @@ fn main() {
         ),
         ("kernel_isa", Json::string(KernelIsa::detected().name())),
         ("entries", Json::Array(entries)),
+        (
+            "quench_workload",
+            Json::string("one_segment_heisenberg_quench_trajectory_vs_restart"),
+        ),
+        ("quench_entries", Json::Array(quench_entries)),
     ]);
     let path = "BENCH_device.json";
     std::fs::write(path, report.render() + "\n").expect("write benchmark report");

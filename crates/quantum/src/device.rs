@@ -19,6 +19,15 @@
 //!   damping a weight-`w` observable by `(1 − 2p)^w`.
 //! * **Shot noise** — observables are estimated from a finite number of
 //!   Bernoulli samples (1000 shots in the paper).
+//!
+//! Miscalibration scales the whole pulse by one factor `s_r` per
+//! realization `r`. On a one-segment schedule that is a time shift,
+//! `e^{−i·s_r·H·T} = e^{−i·H·(s_r·T)}`, so every realization of a sweep is a
+//! point on one trajectory: the sweep evolves realization `0` from `|0⟩` and
+//! each further realization from the previous one by the scale difference
+//! (see [`EmulatedDevice::try_run_compiled`]). Schedules of several
+//! segments do not commute with a rescaling of one another, so there every
+//! realization restarts from `|0⟩`.
 
 use crate::error::{EvolveError, RecoveryLog};
 use crate::observable::measure_z_zz;
@@ -188,10 +197,15 @@ pub struct DeviceRun {
     /// Mid-schedule failures recovered during **this realization**'s
     /// evolution (guardrail trip → Taylor fallback). Empty on every
     /// healthy run; earlier revisions discarded the propagator's log, so
-    /// noisy-device callers could not see that fallbacks happened.
+    /// noisy-device callers could not see that fallbacks happened. For a
+    /// realization a one-segment sweep continued from the previous one, it
+    /// covers only that scale increment's evolution.
     pub recoveries: RecoveryLog,
     /// Per-realization telemetry profile, present when the device's
-    /// [`EvolveOptions`] enable telemetry (see [`crate::telemetry`]).
+    /// [`EvolveOptions`] enable telemetry (see [`crate::telemetry`]). Like
+    /// [`recoveries`](DeviceRun::recoveries), it covers only the scale
+    /// increment of a continued realization (nothing, for an increment of
+    /// exactly `0`).
     pub profile: Option<RunProfile>,
 }
 
@@ -330,14 +344,19 @@ impl EmulatedDevice {
         let schedule = CompiledSchedule::try_compile(segments)?;
         let execution_time = self.try_prepare(&schedule)?;
         let mut propagator = Propagator::with_options(self.options);
-        self.run_realization(
-            &schedule,
-            num_qubits,
+        let mut rng = self.realization_rng(0);
+        let scale = self.draw_scale(&mut rng);
+        let mut state = StateVector::zero_state(num_qubits);
+        let (recoveries, profile) =
+            self.evolve_realization(&schedule, None, scale, &mut state, &mut propagator)?;
+        Ok(self.measure_run(
+            &state,
             cyclic,
             execution_time,
-            &mut propagator,
-            0,
-        )
+            recoveries,
+            profile,
+            &mut rng,
+        ))
     }
 
     /// [`run`](EmulatedDevice::run) repeated over `realizations` independent
@@ -393,7 +412,20 @@ impl EmulatedDevice {
     /// [`CompiledSchedule::scaled_weights`] view sharing `schedule`'s mask
     /// layouts, and the structural compile work is paid exactly once however
     /// many realizations are swept. One [`Propagator`] (with the device's
-    /// [`EvolveOptions`]) carries its scratch buffers across all of them.
+    /// [`EvolveOptions`]) and one state carry across all of them.
+    ///
+    /// Every realization's scale `s_r` is drawn first, in realization order.
+    /// A **one-segment** schedule is then swept as one trajectory: realization
+    /// `0` evolves from `|0⟩` exactly as [`run`](EmulatedDevice::run) does
+    /// (bitwise equal), then the realizations at or above `s_0` follow in
+    /// ascending scale order and those below it in descending order, each
+    /// continuing from the held state under the schedule scaled by
+    /// `s_r − s_prev` (an increment of exactly `0` re-measures the held
+    /// state). The increments are short evolutions, so the sweep costs about
+    /// one evolve plus `R − 1` small steps instead of `R` evolves. A
+    /// schedule of several segments restarts every realization from `|0⟩`.
+    /// Either way each realization is measured with its own RNG stream, and
+    /// the runs come back in realization order.
     ///
     /// When the device's options request realization batching
     /// ([`EvolveOptions::with_realization_block`]) and more than one
@@ -448,18 +480,37 @@ impl EmulatedDevice {
             );
         }
         let mut propagator = Propagator::with_options(self.options);
-        (0..realizations)
-            .map(|realization| {
-                self.run_realization(
-                    schedule,
-                    num_qubits,
-                    cyclic,
-                    execution_time,
-                    &mut propagator,
-                    realization,
-                )
-            })
-            .collect()
+        let (mut rngs, scales) = self.draw_realizations(realizations);
+        // One segment: `e^{−i·s·H·T}` is a time shift along one trajectory,
+        // so each realization continues from the last. Several segments do
+        // not commute, so each realization restarts from `|0⟩`.
+        let trajectory = schedule.num_segments() == 1;
+        let order = if trajectory {
+            trajectory_order(&scales)
+        } else {
+            (0..realizations).collect()
+        };
+        let mut state = StateVector::zero_state(num_qubits);
+        let mut held = None;
+        let mut runs = Vec::with_capacity(realizations);
+        for r in order {
+            let (recoveries, profile) =
+                self.evolve_realization(schedule, held, scales[r], &mut state, &mut propagator)?;
+            if trajectory {
+                held = Some(scales[r]);
+            }
+            let run = self.measure_run(
+                &state,
+                cyclic,
+                execution_time,
+                recoveries,
+                profile,
+                &mut rngs[r],
+            );
+            runs.push((r, run));
+        }
+        runs.sort_by_key(|&(r, _)| r);
+        Ok(runs.into_iter().map(|(_, run)| run).collect())
     }
 
     /// Shared entry validation of every run: noise-model range checks and
@@ -504,52 +555,68 @@ impl EmulatedDevice {
         self.noise.amplitude_miscalibration > 0.0
     }
 
-    /// Evolves and measures **one** noise realization against a shared
-    /// propagator: the unit of the sequential (per-realization) reference
-    /// path, and the direct body of [`try_run`](EmulatedDevice::try_run).
-    fn run_realization(
+    /// The RNG streams of `realizations` noise realizations with every
+    /// scale already drawn, in realization order, so each stream consumes
+    /// its scale draw before its estimation draws whatever order the
+    /// realizations are then evolved in.
+    fn draw_realizations(&self, realizations: usize) -> (Vec<Rng>, Vec<f64>) {
+        let mut rngs: Vec<Rng> = (0..realizations).map(|r| self.realization_rng(r)).collect();
+        let scales = rngs.iter_mut().map(|rng| self.draw_scale(rng)).collect();
+        (rngs, scales)
+    }
+
+    /// Evolves `state` to one realization's amplitude scale `scale` and
+    /// returns the recoveries and telemetry profile of that evolution.
+    ///
+    /// With `held: None` the state restarts from `|0⟩` and evolves under
+    /// the `scale`-scaled schedule (the unscaled one when miscalibration is
+    /// off), exactly as [`try_run`](EmulatedDevice::try_run) does. With
+    /// `held: Some(previous)` the one-segment `state` already sits at scale
+    /// `previous` and continues by the increment `scale − previous`; an
+    /// increment of exactly `0` leaves it as it is.
+    fn evolve_realization(
         &self,
         schedule: &CompiledSchedule,
-        num_qubits: usize,
-        cyclic: bool,
-        execution_time: f64,
+        held: Option<f64>,
+        scale: f64,
+        state: &mut StateVector,
         propagator: &mut Propagator,
-        realization: usize,
-    ) -> Result<DeviceRun, EvolveError> {
-        let mut rng = self.realization_rng(realization);
-
-        // Coherent amplitude miscalibration: one scale error per run.
-        let scaled;
-        let effective = if self.miscalibration_enabled() {
-            scaled = schedule.try_scaled_weights(self.draw_scale(&mut rng))?;
-            &scaled
-        } else {
-            schedule
-        };
-
-        let mut final_state = StateVector::zero_state(num_qubits);
-        // The propagator's recovery log accumulates across the
-        // sweep; remember where this realization starts so its own
-        // events can be sliced out below.
+    ) -> Result<(RecoveryLog, Option<RunProfile>), EvolveError> {
+        // The propagator's recovery log accumulates across the sweep;
+        // remember where this realization starts so its own events can be
+        // sliced out below.
         let recoveries_before = propagator.recovery_log().len();
-        propagator.try_evolve_schedule_in_place(effective, &mut final_state)?;
+        match held {
+            Some(previous) => {
+                let increment = scale - previous;
+                if increment != 0.0 {
+                    propagator.try_evolve_schedule_in_place(
+                        &schedule.try_scaled_weights(increment)?,
+                        state,
+                    )?;
+                }
+            }
+            None => {
+                state.set_zero_state();
+                if self.miscalibration_enabled() {
+                    propagator.try_evolve_schedule_in_place(
+                        &schedule.try_scaled_weights(scale)?,
+                        state,
+                    )?;
+                } else {
+                    propagator.try_evolve_schedule_in_place(schedule, state)?;
+                }
+            }
+        }
         let recoveries =
             RecoveryLog::from_events(&propagator.recovery_log().events()[recoveries_before..]);
-        // Draining resets the recorder, so each realization's
-        // profile covers exactly its own evolution.
+        // Draining resets the recorder, so each realization's profile covers
+        // exactly its own evolution.
         let profile = propagator
             .drain_trace()
             .as_ref()
             .map(RunProfile::from_recorder);
-
-        Ok(self.measure_run(
-            &final_state,
-            cyclic,
-            execution_time,
-            recoveries,
-            profile,
-            &mut rng,
-        ))
+        Ok((recoveries, profile))
     }
 
     /// Converts a final state into a [`DeviceRun`]: damps the exact
@@ -616,8 +683,7 @@ impl EmulatedDevice {
         execution_time: f64,
     ) -> Result<Vec<DeviceRun>, EvolveError> {
         let mut propagator = Propagator::with_options(self.options);
-        let mut rngs: Vec<Rng> = (0..realizations).map(|r| self.realization_rng(r)).collect();
-        let scales: Vec<f64> = rngs.iter_mut().map(|rng| self.draw_scale(rng)).collect();
+        let (mut rngs, scales) = self.draw_realizations(realizations);
 
         let dim = 1usize << num_qubits;
         let tile = (MAX_BLOCK_TILE_AMPS / dim.max(1))
@@ -677,6 +743,23 @@ impl EmulatedDevice {
             }
         }
     }
+}
+
+/// The order a one-segment sweep visits its realizations in: realization
+/// `0` first, then those at or above its scale `s₀` in ascending order,
+/// then those below it in descending order. Each step after the first
+/// therefore moves the held state by one scale difference; only the turn
+/// from the largest scale to the first one below `s₀` crosses back. Ties
+/// keep realization order.
+fn trajectory_order(scales: &[f64]) -> Vec<usize> {
+    let Some(&origin) = scales.first() else {
+        return Vec::new();
+    };
+    let (mut above, mut below): (Vec<usize>, Vec<usize>) =
+        (1..scales.len()).partition(|&r| scales[r] >= origin);
+    above.sort_by(|&a, &b| scales[a].total_cmp(&scales[b]));
+    below.sort_by(|&a, &b| scales[b].total_cmp(&scales[a]));
+    std::iter::once(0).chain(above).chain(below).collect()
 }
 
 /// Convenience: run the segments on a noiseless device.

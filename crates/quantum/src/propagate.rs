@@ -14,9 +14,9 @@
 //!
 //! # Hot path
 //!
-//! The work horse is [`Propagator`]: it owns the steppers (and through them
-//! every scratch vector), so repeated evolutions perform *zero heap
-//! allocation* after the first use at a given register size. Every
+//! The work horse is [`Propagator`]: it owns the steppers and one scratch
+//! set the single-state backends share, so repeated evolutions perform
+//! *zero heap allocation* after the first use at a given register size. Every
 //! evolution — a constant [`CompiledHamiltonian`], the recompile-per-segment
 //! reference, or a [`CompiledSchedule`] — runs each segment through one
 //! routine: backend choice, fault arming, batched-run chaining, rollback
@@ -65,7 +65,8 @@ use crate::schedule::{CompiledSchedule, DiagTableScratch, RealizationWeights};
 use crate::state::{RealizationBlock, StateVector};
 use crate::stepper::{
     BatchedTaylorStepper, BlockTaylorStepper, ChebyshevStepper, EvolveOptions, KrylovStepper,
-    SpectralBound, Stepper, StepperKind, TaylorStepper, MAX_STEP_PHASE, MAX_TAYLOR_ORDER,
+    ScratchStates, SpectralBound, Stepper, StepperKind, TaylorStepper, MAX_STEP_PHASE,
+    MAX_TAYLOR_ORDER,
 };
 use crate::telemetry::{
     CompileSpan, Recorder, RecoverySpan, RunProfile, ScheduleSpan, SegmentSpan, SpanEvent,
@@ -88,6 +89,11 @@ pub const MAX_RECORDED_DECISIONS: usize = 1 << 16;
 /// backend, so repeated evolutions (piecewise segments, noise-model sweeps,
 /// benchmark repetitions) allocate nothing after the first use at a given
 /// register size.
+///
+/// The Taylor, batched-Taylor and Chebyshev backends share **one** set of
+/// three state-sized buffers, lent by an O(1) swap to whichever of them runs
+/// a segment, so a propagator that has run all three holds three states of
+/// scratch, not seven. Krylov keeps its own basis.
 ///
 /// The backend is selected at construction ([`Propagator::with_options`],
 /// [`Propagator::with_stepper`]) or swapped later
@@ -121,6 +127,10 @@ pub struct Propagator {
     batched: BatchedTaylorStepper,
     krylov: KrylovStepper,
     chebyshev: ChebyshevStepper,
+    /// The state-sized scratch set of the Taylor, batched-Taylor and
+    /// Chebyshev backends, lent to whichever of them runs a segment (see
+    /// [`lend_scratch`](Propagator::lend_scratch)).
+    scratch: ScratchStates,
     /// Structure-of-arrays realization batching (see
     /// [`Propagator::try_evolve_schedule_block`]); counters fold into the
     /// [`StepperKind::BatchedTaylor`] slot, whose scheme it shares.
@@ -213,6 +223,7 @@ impl Propagator {
             batched: BatchedTaylorStepper::with_context(options.tolerance, options.execution),
             krylov: KrylovStepper::with_context(options.tolerance, options.execution),
             chebyshev: ChebyshevStepper::with_context(options.tolerance, options.execution),
+            scratch: ScratchStates::new(),
             block: BlockTaylorStepper::with_context(options.tolerance, options.execution),
             decisions: Vec::new(),
             recovery: RecoveryLog::default(),
@@ -521,6 +532,20 @@ impl Propagator {
             }));
         }
         self.recovery.push(event);
+    }
+
+    /// Swaps the shared scratch set with `kind`'s own (an O(1) move of three
+    /// buffer handles): called once before a backend runs, it lends the
+    /// set; called again after, it takes it back. Krylov keeps its own
+    /// basis and is not lent anything.
+    fn lend_scratch(&mut self, kind: StepperKind) {
+        let slot = match kind {
+            StepperKind::Taylor => &mut self.taylor.scratch,
+            StepperKind::BatchedTaylor => &mut self.batched.scratch,
+            StepperKind::Chebyshev => &mut self.chebyshev.scratch,
+            StepperKind::Krylov | StepperKind::Auto => return,
+        };
+        std::mem::swap(&mut self.scratch, slot);
     }
 
     /// The stepper implementing a resolved (fixed) backend kind.
@@ -867,24 +892,31 @@ impl Propagator {
                         .try_finish_run(state)
                         .map_err(|error| error.with_segment(index))?;
                 }
-                self.batched.begin_run(state, run.reference_norm);
+                self.batched.begin_run(run.reference_norm);
                 run.open_layout = Some(layout);
             }
-            self.batched
-                .try_run_segment(kernel, &effective_bound, state, duration)
+            self.lend_scratch(kind);
+            let result = self
+                .batched
+                .try_run_segment(kernel, &effective_bound, state, duration);
+            self.lend_scratch(kind);
+            result
         } else {
             if run.open_layout.take().is_some() {
                 self.batched
                     .try_finish_run(state)
                     .map_err(|error| error.with_segment(index))?;
             }
-            self.stepper_for(kind).try_evolve_segment(
+            self.lend_scratch(kind);
+            let result = self.stepper_for(kind).try_evolve_segment(
                 kernel,
                 &effective_bound,
                 state,
                 duration,
                 run.reference_norm,
-            )
+            );
+            self.lend_scratch(kind);
+            result
         };
         if has_faults {
             // A forced QL failure must not leak into later, un-faulted
@@ -906,10 +938,12 @@ impl Propagator {
             }
             // Retry with the Taylor reference and the clean (unperturbed)
             // bound; the faults were consumed above.
-            if let Err(retry_error) =
+            self.lend_scratch(StepperKind::Taylor);
+            let retry =
                 self.taylor
-                    .try_evolve_segment(kernel, &bound, state, duration, run.reference_norm)
-            {
+                    .try_evolve_segment(kernel, &bound, state, duration, run.reference_norm);
+            self.lend_scratch(StepperKind::Taylor);
+            if let Err(retry_error) = retry {
                 if has_faults {
                     state.copy_from(&self.fault_snapshot);
                 }
@@ -1614,6 +1648,20 @@ mod tests {
         }
     }
 
+    /// Every scratch buffer the single-state backends can hold: the shared
+    /// set and each backend's own slot (a placeholder unless lent out).
+    fn scratch_buffers(propagator: &Propagator) -> Vec<&StateVector> {
+        [
+            &propagator.scratch,
+            &propagator.taylor.scratch,
+            &propagator.batched.scratch,
+            &propagator.chebyshev.scratch,
+        ]
+        .into_iter()
+        .flat_map(|set| set.buffers().iter())
+        .collect()
+    }
+
     #[test]
     fn propagator_scratch_buffers_are_reused() {
         let h = single_term(2, 1.0, PauliString::single(0, Pauli::X));
@@ -1629,6 +1677,61 @@ mod tests {
             assert!(a.fidelity(&b) > 1.0 - 1e-12);
             assert!(a.fidelity(&evolve(&StateVector::zero_state(2), &h, 0.3)) > 1.0 - 1e-12);
         }
+
+        // Chebyshev, batched Taylor and Taylor share one scratch set.
+        let num_qubits = 10;
+        let compiled = CompiledHamiltonian::compile(&Hamiltonian::from_terms(
+            num_qubits,
+            (0..num_qubits)
+                .map(|q| (0.9, PauliString::single(q, Pauli::X)))
+                .chain(
+                    (0..num_qubits - 1)
+                        .map(|q| (0.7, PauliString::two(q, Pauli::Z, q + 1, Pauli::Z))),
+                ),
+        ));
+        let mut propagator = Propagator::new();
+        let pass = |propagator: &mut Propagator| {
+            let mut state = StateVector::zero_state(num_qubits);
+            for kind in [
+                StepperKind::Chebyshev,
+                StepperKind::BatchedTaylor,
+                StepperKind::Taylor,
+            ] {
+                propagator.set_stepper(kind);
+                propagator.evolve_in_place(&compiled, &mut state, 0.4);
+            }
+            state
+        };
+        let first = pass(&mut propagator);
+        for (kind, applications) in propagator.kernel_applications_by_backend() {
+            assert_eq!(applications > 0, kind != StepperKind::Krylov, "{kind:?}");
+        }
+        let state_sized = |propagator: &Propagator| -> Vec<*const Complex> {
+            let mut pointers: Vec<*const Complex> = scratch_buffers(propagator)
+                .into_iter()
+                .filter(|buffer| buffer.num_qubits() == num_qubits)
+                .map(|buffer| buffer.amplitudes().as_ptr())
+                .collect();
+            pointers.sort();
+            pointers
+        };
+        // Three backends ran, yet the propagator holds the largest one's
+        // three buffers, not their sum of seven; the rest are one-amplitude
+        // placeholders.
+        let amplitudes: usize = scratch_buffers(&propagator)
+            .into_iter()
+            .filter(|buffer| buffer.num_qubits() == num_qubits)
+            .map(StateVector::dim)
+            .sum();
+        assert_eq!(amplitudes, 3 << num_qubits);
+        assert!(scratch_buffers(&propagator)
+            .into_iter()
+            .all(|buffer| buffer.num_qubits() == num_qubits || buffer.dim() == 1));
+        // A second identical pass reuses the same allocations.
+        let before = state_sized(&propagator);
+        let second = pass(&mut propagator);
+        assert_eq!(state_sized(&propagator), before);
+        assert_eq!(first, second);
     }
 
     #[test]

@@ -119,6 +119,13 @@ impl StateVector {
         }
     }
 
+    /// Overwrites the state with `|0…0⟩` in place, without allocating.
+    pub(crate) fn set_zero_state(&mut self) {
+        let amplitudes = self.amplitudes.as_mut_slice();
+        amplitudes.fill(Complex::ZERO);
+        amplitudes[0] = Complex::ONE;
+    }
+
     /// The zero *vector* (every amplitude `0`) on `num_qubits` qubits — not a
     /// physical state, but the correct accumulator seed for `H|ψ⟩` kernels.
     ///

@@ -663,7 +663,9 @@ impl SpectralBound {
 /// Implementations own whatever scratch state their scheme needs (Taylor's
 /// two vectors, Krylov's basis, Chebyshev's recurrence buffers) and reuse it
 /// across calls, so driving a many-segment schedule allocates nothing after
-/// the first segment at a given register size.
+/// the first segment at a given register size. Inside a
+/// [`crate::Propagator`] the Taylor, batched-Taylor and Chebyshev backends
+/// share one set of three state vectors instead.
 pub trait Stepper {
     /// Advances `state` by `exp(−i·H·duration)` where `H` is the operator
     /// `kernel` applies, rescaling the result to `reference_norm`.
@@ -838,6 +840,62 @@ fn apply_identity_phase(state: &mut StateVector, center: f64, duration: f64) -> 
     2
 }
 
+/// The state-sized scratch vectors of the single-state backends: Taylor and
+/// batched Taylor use the first two (the series order and the next one),
+/// Chebyshev all three (`T_{k−1}`, `T_k`, the accumulator).
+///
+/// A standalone stepper owns its own set. A [`crate::Propagator`] owns one
+/// set and lends it to whichever backend runs a segment (an O(1) swap), so
+/// it holds the largest backend's buffers instead of their sum. Every
+/// backend sizes the buffers it uses on use; a buffer is reallocated only
+/// when the register size changes.
+#[derive(Debug, Clone)]
+pub(crate) struct ScratchStates([StateVector; 3]);
+
+impl ScratchStates {
+    /// Three one-amplitude placeholders, sized on first use.
+    pub(crate) fn new() -> Self {
+        ScratchStates([
+            StateVector::zeros(0),
+            StateVector::zeros(0),
+            StateVector::zeros(0),
+        ])
+    }
+
+    /// The first two buffers, sized to `num_qubits`.
+    fn pair(&mut self, num_qubits: usize) -> (&mut StateVector, &mut StateVector) {
+        let [first, second, _] = &mut self.0;
+        size_to(first, num_qubits);
+        size_to(second, num_qubits);
+        (first, second)
+    }
+
+    /// All three buffers, sized to `num_qubits`.
+    fn triple(
+        &mut self,
+        num_qubits: usize,
+    ) -> (&mut StateVector, &mut StateVector, &mut StateVector) {
+        let [first, second, third] = &mut self.0;
+        size_to(first, num_qubits);
+        size_to(second, num_qubits);
+        size_to(third, num_qubits);
+        (first, second, third)
+    }
+
+    /// The buffers, whatever their current size.
+    #[cfg(test)]
+    pub(crate) fn buffers(&self) -> &[StateVector; 3] {
+        &self.0
+    }
+}
+
+/// Reallocates `buffer` as a `num_qubits`-qubit state unless it already is one.
+fn size_to(buffer: &mut StateVector, num_qubits: usize) {
+    if buffer.num_qubits() != num_qubits {
+        *buffer = StateVector::zeros(num_qubits);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Taylor
 // ---------------------------------------------------------------------------
@@ -849,8 +907,7 @@ fn apply_identity_phase(state: &mut StateVector, center: f64, duration: f64) -> 
 /// numerics are unchanged.
 #[derive(Debug, Clone)]
 pub struct TaylorStepper {
-    series: StateVector,
-    series_next: StateVector,
+    pub(crate) scratch: ScratchStates,
     context: ExecutionContext,
     tolerance: f64,
     applications: u64,
@@ -877,19 +934,11 @@ impl TaylorStepper {
     /// Panics if `tolerance` is not positive and finite.
     pub fn with_context(tolerance: f64, context: ExecutionContext) -> Self {
         TaylorStepper {
-            series: StateVector::zeros(0),
-            series_next: StateVector::zeros(0),
+            scratch: ScratchStates::new(),
             context,
             tolerance: validated_tolerance(tolerance),
             applications: 0,
             passes: Passes::new(),
-        }
-    }
-
-    fn ensure_capacity(&mut self, num_qubits: usize) {
-        if self.series.num_qubits() != num_qubits || self.series.dim() != 1 << num_qubits {
-            self.series = StateVector::zeros(num_qubits);
-            self.series_next = StateVector::zeros(num_qubits);
         }
     }
 
@@ -903,7 +952,8 @@ impl TaylorStepper {
         dt: f64,
         reference_norm: f64,
     ) -> Result<(), EvolveError> {
-        self.series.copy_from(state);
+        let (series, series_next) = self.scratch.pair(state.num_qubits());
+        series.copy_from(state);
         self.passes.copy();
         let mut factor = Complex::ONE;
         let threshold = self.tolerance * reference_norm;
@@ -913,14 +963,14 @@ impl TaylorStepper {
             // series_next, and ‖series_next‖ for the convergence check.
             let series_norm = kernel.apply_accumulate_into_with(
                 &self.context,
-                &self.series,
-                &mut self.series_next,
+                series,
+                series_next,
                 state,
                 factor,
             );
             self.applications += 1;
             self.passes.apply_accumulate();
-            std::mem::swap(&mut self.series, &mut self.series_next);
+            std::mem::swap(series, series_next);
             guard_finite(series_norm, StepperKind::Taylor)?;
             if series_norm * factor.abs() < threshold {
                 break;
@@ -950,7 +1000,6 @@ impl Stepper for TaylorStepper {
                 .add(apply_identity_phase(state, bound.center, duration));
             return Ok(());
         }
-        self.ensure_capacity(state.num_qubits());
         // Split into steps so that the Taylor series of each step converges
         // fast.
         let steps = taylor_steps(bound, duration) as usize;
@@ -1028,8 +1077,7 @@ impl Stepper for TaylorStepper {
 /// passes.
 #[derive(Debug, Clone)]
 pub struct BatchedTaylorStepper {
-    series: StateVector,
-    series_next: StateVector,
+    pub(crate) scratch: ScratchStates,
     reference_norm: f64,
     /// Whether the open run has applied any kernel work (drift corrections
     /// are only owed — and only meaningful — after real applications).
@@ -1059,8 +1107,7 @@ impl BatchedTaylorStepper {
     /// Panics if `tolerance` is not positive and finite.
     pub fn with_context(tolerance: f64, context: ExecutionContext) -> Self {
         BatchedTaylorStepper {
-            series: StateVector::zeros(0),
-            series_next: StateVector::zeros(0),
+            scratch: ScratchStates::new(),
             reference_norm: 1.0,
             dirty: false,
             context,
@@ -1070,24 +1117,16 @@ impl BatchedTaylorStepper {
         }
     }
 
-    fn ensure_capacity(&mut self, num_qubits: usize) {
-        if self.series.num_qubits() != num_qubits || self.series.dim() != 1 << num_qubits {
-            self.series = StateVector::zeros(num_qubits);
-            self.series_next = StateVector::zeros(num_qubits);
-        }
-    }
-
-    /// Opens a batched run over `state`: sizes the scratch buffers and
-    /// records the reference norm every truncation threshold and the
-    /// run-end drift correction are relative to.
+    /// Opens a batched run: records the reference norm every truncation
+    /// threshold and the run-end drift correction are relative to. The
+    /// scratch buffers are sized by the first segment that applies `H`.
     ///
     /// The caller drives any number of
     /// [`run_segment`](BatchedTaylorStepper::run_segment) calls against the
     /// **same** state and closes the run with
     /// [`finish_run`](BatchedTaylorStepper::finish_run), which applies the
     /// single deferred drift correction.
-    pub fn begin_run(&mut self, state: &StateVector, reference_norm: f64) {
-        self.ensure_capacity(state.num_qubits());
+    pub fn begin_run(&mut self, reference_norm: f64) {
         self.reference_norm = reference_norm;
         self.dirty = false;
     }
@@ -1135,6 +1174,7 @@ impl BatchedTaylorStepper {
             return Ok(());
         }
         self.dirty = true;
+        let (series, series_next) = self.scratch.pair(state.num_qubits());
         let steps = taylor_steps(bound, duration) as usize;
         let dt = duration / steps as f64;
         let threshold = self.tolerance * self.reference_norm;
@@ -1143,13 +1183,13 @@ impl BatchedTaylorStepper {
             // per-segment path would copy the state first). Its
             // accumulation is retired one pass later. ---
             let f1 = Complex::new(0.0, -dt);
-            let order1_norm = kernel.apply_into_with(&self.context, state, &mut self.series);
+            let order1_norm = kernel.apply_into_with(&self.context, state, series);
             self.applications += 1;
             self.passes.apply();
             guard_finite(order1_norm, StepperKind::BatchedTaylor)?;
             if order1_norm * f1.abs() < threshold {
                 // Single-order step: retire the lone term directly.
-                state.accumulate(f1, &self.series);
+                state.accumulate(f1, series);
                 self.passes.axpy();
                 continue;
             }
@@ -1158,15 +1198,15 @@ impl BatchedTaylorStepper {
             let mut factor = f1 * Complex::new(0.0, -dt) / 2.0;
             let norm = kernel.apply_accumulate_both_into_with(
                 &self.context,
-                &self.series,
-                &mut self.series_next,
+                series,
+                series_next,
                 state,
                 f1,
                 factor,
             );
             self.applications += 1;
             self.passes.apply_accumulate();
-            std::mem::swap(&mut self.series, &mut self.series_next);
+            std::mem::swap(series, series_next);
             guard_finite(norm, StepperKind::BatchedTaylor)?;
             if norm * factor.abs() < threshold {
                 continue;
@@ -1177,14 +1217,14 @@ impl BatchedTaylorStepper {
                 factor = factor * Complex::new(0.0, -dt) / (k as f64);
                 let norm = kernel.apply_accumulate_into_with(
                     &self.context,
-                    &self.series,
-                    &mut self.series_next,
+                    series,
+                    series_next,
                     state,
                     factor,
                 );
                 self.applications += 1;
                 self.passes.apply_accumulate();
-                std::mem::swap(&mut self.series, &mut self.series_next);
+                std::mem::swap(series, series_next);
                 guard_finite(norm, StepperKind::BatchedTaylor)?;
                 if norm * factor.abs() < threshold {
                     break;
@@ -1233,7 +1273,7 @@ impl Stepper for BatchedTaylorStepper {
         duration: f64,
         reference_norm: f64,
     ) -> Result<(), EvolveError> {
-        self.begin_run(state, reference_norm);
+        self.begin_run(reference_norm);
         self.try_run_segment(kernel, bound, state, duration)?;
         self.try_finish_run(state)
     }
@@ -1883,9 +1923,7 @@ impl KrylovStepper {
 /// (`T_{k−1}`, `T_k`, the accumulator) whatever the duration.
 #[derive(Debug, Clone)]
 pub struct ChebyshevStepper {
-    t_prev: StateVector,
-    t_curr: StateVector,
-    accumulator: StateVector,
+    pub(crate) scratch: ScratchStates,
     context: ExecutionContext,
     tolerance: f64,
     applications: u64,
@@ -1911,21 +1949,11 @@ impl ChebyshevStepper {
     /// Panics if `tolerance` is not positive and finite.
     pub fn with_context(tolerance: f64, context: ExecutionContext) -> Self {
         ChebyshevStepper {
-            t_prev: StateVector::zeros(0),
-            t_curr: StateVector::zeros(0),
-            accumulator: StateVector::zeros(0),
+            scratch: ScratchStates::new(),
             context,
             tolerance: validated_tolerance(tolerance),
             applications: 0,
             passes: Passes::new(),
-        }
-    }
-
-    fn ensure_capacity(&mut self, num_qubits: usize) {
-        if self.t_prev.num_qubits() != num_qubits || self.t_prev.dim() != 1 << num_qubits {
-            self.t_prev = StateVector::zeros(num_qubits);
-            self.t_curr = StateVector::zeros(num_qubits);
-            self.accumulator = StateVector::zeros(num_qubits);
         }
     }
 }
@@ -1951,7 +1979,6 @@ impl Stepper for ChebyshevStepper {
                 .add(apply_identity_phase(state, center, duration));
             return Ok(());
         }
-        self.ensure_capacity(state.num_qubits());
         let span = radius * duration;
         if !span.is_finite() {
             return Err(EvolveError::InvalidInput {
@@ -1976,6 +2003,7 @@ impl Stepper for ChebyshevStepper {
             })?;
 
         let inverse_radius = 1.0 / radius;
+        let (t_prev, t_curr, accumulator) = self.scratch.triple(state.num_qubits());
         match *coefficients.as_slice() {
             [] => {
                 return Err(EvolveError::InvalidInput {
@@ -1984,23 +2012,23 @@ impl Stepper for ChebyshevStepper {
             }
             // Only c₀ survives the truncation: the sum is c₀·ψ.
             [seed] => {
-                self.accumulator.copy_from(state);
+                accumulator.copy_from(state);
                 self.passes.copy();
-                self.accumulator.scale(seed);
+                accumulator.scale(seed);
                 self.passes.scale();
             }
             [seed, first, ref rest @ ..] => {
                 // T₀·ψ = ψ, kept in `t_prev` for the first recurrence step.
-                self.t_prev.copy_from(state);
+                t_prev.copy_from(state);
                 self.passes.copy();
                 // (−i)^k phase cycle, starting at k = 1.
                 let mut phase = -Complex::I;
                 // T₁ = H̃·T₀ into `t_curr`; accumulator = c₀·ψ + (−i)·c₁·T₁.
                 kernel.chebyshev_order_with(
                     &self.context,
-                    &self.t_prev,
-                    &mut self.t_curr,
-                    &mut self.accumulator,
+                    t_prev,
+                    t_curr,
+                    accumulator,
                     ChebyshevOrder {
                         center,
                         inverse_radius,
@@ -2017,9 +2045,9 @@ impl Stepper for ChebyshevStepper {
                     phase *= -Complex::I;
                     kernel.chebyshev_order_with(
                         &self.context,
-                        &self.t_curr,
-                        &mut self.t_prev,
-                        &mut self.accumulator,
+                        t_curr,
+                        t_prev,
+                        accumulator,
                         ChebyshevOrder {
                             center,
                             inverse_radius,
@@ -2030,7 +2058,7 @@ impl Stepper for ChebyshevStepper {
                     );
                     self.applications += 1;
                     self.passes.chebyshev_step();
-                    std::mem::swap(&mut self.t_prev, &mut self.t_curr);
+                    std::mem::swap(t_prev, t_curr);
                 }
             }
         }
@@ -2040,7 +2068,7 @@ impl Stepper for ChebyshevStepper {
         // The norm computed for the check is reused for the drift
         // correction, fused into the write-back — 3 passes where the
         // unguarded path (write, then norm-and-rescale) paid 5.
-        let norm = self.accumulator.norm();
+        let norm = accumulator.norm();
         self.passes.norm();
         if !norm.is_finite() {
             return Err(EvolveError::NonFiniteState {
@@ -2068,7 +2096,7 @@ impl Stepper for ChebyshevStepper {
         for (slot, acc) in state
             .amplitudes_mut()
             .iter_mut()
-            .zip(self.accumulator.amplitudes())
+            .zip(accumulator.amplitudes())
         {
             *slot = correction * *acc;
         }
@@ -2593,7 +2621,7 @@ mod tests {
             .iter()
             .map(|(h, _)| CompiledHamiltonian::compile(h))
             .collect();
-        batched.begin_run(&state, norm);
+        batched.begin_run(norm);
         for (c, (_, t)) in compiled.iter().zip(&segments) {
             batched.run_segment(c.kernel(), &c.spectral_bound(), &mut state, *t);
         }

@@ -56,7 +56,10 @@
 //!
 //! The noisy variant of the last step is
 //! [`quantum::EmulatedDevice::run_compiled`], which sweeps the same
-//! compiled schedule over noise realizations; `cargo run --release
+//! compiled schedule over noise realizations. Miscalibration scales the
+//! whole pulse, so a one-segment pulse's realizations lie on one trajectory
+//! and each continues from the last by its scale difference; a pulse of
+//! several segments restarts each realization from `|0⟩`. `cargo run --release
 //! --example ising_cycle_aquila` shows the full QTurbo-vs-baseline
 //! comparison on an Aquila-like device, and `tests/conformance_e2e.rs` plus
 //! the `bench_e2e` binary gate this pipeline per scenario cell in CI.

@@ -1,15 +1,24 @@
-//! Device-level conformance for structure-of-arrays realization batching:
-//! the block sweep ([`EvolveOptions::with_realization_block`]) is pinned
-//! against the sequential per-realization reference path over a grid of
-//! realization counts × stepper kinds × boundary conditions, plus the
-//! regression contracts of the realization RNG streams and the fault
-//! harness inside a block sweep.
+//! Device-level conformance of the noise sweeps:
+//!
+//! * structure-of-arrays realization batching: the block sweep
+//!   ([`EvolveOptions::with_realization_block`]) is pinned against the
+//!   sequential per-realization reference path over a grid of realization
+//!   counts × stepper kinds × boundary conditions;
+//! * the one-segment trajectory sweep, where each realization continues
+//!   from the previous one by its scale difference, is pinned against the
+//!   same Hamiltonian split into two half-duration segments, which
+//!   restarts every realization from `|0⟩`;
+//! * the regression contracts of the realization RNG streams and the fault
+//!   harness inside a block sweep.
 
 use qturbo_hamiltonian::{Hamiltonian, Pauli, PauliString};
+use qturbo_math::rng::Rng;
 use qturbo_quantum::fault::{Fault, FaultInjector};
 use qturbo_quantum::schedule::CompiledSchedule;
 use qturbo_quantum::state::RealizationBlock;
-use qturbo_quantum::{EmulatedDevice, EvolveOptions, NoiseModel, Propagator, StepperKind};
+use qturbo_quantum::{
+    DeviceRun, EmulatedDevice, EvolveOptions, NoiseModel, Propagator, StepperKind,
+};
 
 const AGREEMENT: f64 = 1e-10;
 
@@ -92,16 +101,27 @@ fn block_sweep_matches_sequential_reference() {
 
 /// Realization `0` of a sweep is bitwise identical to a standalone
 /// [`EmulatedDevice::run`] — the sweep's per-realization RNG streams and
-/// evolution are exactly the single-run path, realization by realization.
+/// evolution are exactly the single-run path, realization by realization —
+/// on the restart path (a ramp of several segments) and on the trajectory
+/// path (one segment), with finite shots so the estimation draws count too.
 #[test]
 fn sweep_realization_zero_is_bitwise_run() {
     let num_qubits = 4;
-    let segments = ramp(num_qubits, 8);
-    let device = EmulatedDevice::new(exact_noise(), 7);
-    let single = device.run(&segments, num_qubits, true);
-    let sweep = device.run_realizations(&segments, num_qubits, true, 5);
-    // DeviceRun equality is exact (bitwise on the observables).
-    assert_eq!(sweep[0], single);
+    let noise = NoiseModel {
+        shots: Some(500),
+        ..exact_noise()
+    };
+    let device = EmulatedDevice::new(noise, 7);
+    for segments in [ramp(num_qubits, 8), vec![(quench(num_qubits), 1.2)]] {
+        let single = device.run(&segments, num_qubits, true);
+        let sweep = device.run_realizations(&segments, num_qubits, true, 5);
+        // DeviceRun equality is exact (bitwise on the observables).
+        assert_eq!(sweep[0], single);
+        assert_eq!(
+            sweep,
+            device.run_realizations(&segments, num_qubits, true, 5)
+        );
+    }
 }
 
 /// Seed-decorrelation regression: the historical additive `seed + r` stream
@@ -172,5 +192,136 @@ fn fault_recovery_inside_block_sweep() {
                 "realization {r} diverged after recovery: {a:?} vs {b:?}"
             );
         }
+    }
+}
+
+/// A one-segment quench on a chain: transverse and longitudinal fields, a
+/// `Y` drive (sign-carrying gathers) and `ZZ` couplings.
+fn quench(num_qubits: usize) -> Hamiltonian {
+    let mut terms: Vec<(f64, PauliString)> = Vec::new();
+    for qubit in 0..num_qubits {
+        terms.push((0.8, PauliString::single(qubit, Pauli::X)));
+        terms.push((0.3, PauliString::single(qubit, Pauli::Y)));
+        terms.push((
+            -0.5 + 0.2 * qubit as f64,
+            PauliString::single(qubit, Pauli::Z),
+        ));
+    }
+    for qubit in 0..num_qubits - 1 {
+        terms.push((0.9, PauliString::two(qubit, Pauli::Z, qubit + 1, Pauli::Z)));
+    }
+    Hamiltonian::from_terms(num_qubits, terms)
+}
+
+/// The one-segment sweep and the same evolution split into two
+/// half-duration segments: the split schedule restarts every realization
+/// from `|0⟩` and draws the same scales, so the two must agree.
+fn trajectory_and_restart(
+    device: &EmulatedDevice,
+    num_qubits: usize,
+    duration: f64,
+    cyclic: bool,
+    realizations: usize,
+) -> (Vec<DeviceRun>, Vec<DeviceRun>) {
+    let hamiltonian = quench(num_qubits);
+    let whole = CompiledSchedule::compile(&[(hamiltonian.clone(), duration)]);
+    let halves = CompiledSchedule::compile(&[
+        (hamiltonian.clone(), duration / 2.0),
+        (hamiltonian, duration / 2.0),
+    ]);
+    assert_eq!(whole.num_segments(), 1);
+    assert_eq!(halves.num_segments(), 2);
+    (
+        device.run_compiled(&whole, num_qubits, cyclic, realizations),
+        device.run_compiled(&halves, num_qubits, cyclic, realizations),
+    )
+}
+
+fn assert_runs_agree(trajectory: &[DeviceRun], restart: &[DeviceRun], context: &str) {
+    assert_eq!(trajectory.len(), restart.len(), "{context}");
+    for (r, (a, b)) in trajectory.iter().zip(restart).enumerate() {
+        assert_eq!(
+            a.execution_time, b.execution_time,
+            "{context} realization={r}"
+        );
+        for (x, y) in a.z.iter().chain(&a.zz).zip(b.z.iter().chain(&b.zz)) {
+            assert!(
+                (x - y).abs() < AGREEMENT,
+                "{context} realization={r}: {x} vs {y}"
+            );
+        }
+    }
+}
+
+/// The trajectory grid: `R ∈ {1, 3, 8}` × every stepper kind × both
+/// boundary conditions agree with the restart sweep to 1e-10.
+#[test]
+fn trajectory_sweep_matches_restart_sweep() {
+    let num_qubits = 5;
+    for &realizations in &[1usize, 3, 8] {
+        for &kind in &StepperKind::all() {
+            for &cyclic in &[false, true] {
+                let device =
+                    EmulatedDevice::new(exact_noise(), 29).with_options(EvolveOptions::new(kind));
+                let (trajectory, restart) =
+                    trajectory_and_restart(&device, num_qubits, 1.5, cyclic, realizations);
+                assert_runs_agree(
+                    &trajectory,
+                    &restart,
+                    &format!("kind={kind:?} R={realizations} cyclic={cyclic}"),
+                );
+            }
+        }
+    }
+}
+
+/// A miscalibration of 100 % spreads the scales across zero, so the sweep
+/// evolves under negative scales and crosses zero with its increments; it
+/// still agrees with the restart sweep.
+#[test]
+fn trajectory_sweep_crosses_zero_scale() {
+    let num_qubits = 4;
+    let noise = NoiseModel {
+        amplitude_miscalibration: 1.0,
+        ..exact_noise()
+    };
+    for seed in [3u64, 7, 17] {
+        // The device draws realization r's scale as the first Gaussian of
+        // its stream; make sure this seed's sweep has scales of both signs.
+        let scales: Vec<f64> = (0..8)
+            .map(|r| 1.0 + Rng::seed_from_pair(seed, r).next_gaussian())
+            .collect();
+        assert!(
+            scales.iter().any(|&s| s < 0.0) && scales.iter().any(|&s| s > 0.0),
+            "seed={seed}: scales {scales:?} do not cross zero"
+        );
+        let device = EmulatedDevice::new(noise.clone(), seed);
+        let (trajectory, restart) = trajectory_and_restart(&device, num_qubits, 1.0, true, 8);
+        assert_runs_agree(&trajectory, &restart, &format!("seed={seed}"));
+    }
+}
+
+/// Without miscalibration every increment is exactly `0`: each realization
+/// re-measures realization `0`'s state, so exact observables are bitwise
+/// equal to realization `0`'s and a traced profile records no further
+/// kernel work.
+#[test]
+fn trajectory_without_miscalibration_remeasures_one_state() {
+    let num_qubits = 5;
+    let segments = [(quench(num_qubits), 1.2)];
+    let noise = NoiseModel {
+        amplitude_miscalibration: 0.0,
+        ..exact_noise()
+    };
+    let device =
+        EmulatedDevice::new(noise, 13).with_options(EvolveOptions::default().with_telemetry(true));
+    let sweep = device.run_realizations(&segments, num_qubits, true, 6);
+    let first = sweep[0].profile.as_ref().expect("traced device run");
+    assert!(first.applications() > 0);
+    for run in &sweep[1..] {
+        assert_eq!(run.z, sweep[0].z);
+        assert_eq!(run.zz, sweep[0].zz);
+        let profile = run.profile.as_ref().expect("traced device run");
+        assert_eq!(profile.applications(), 0);
     }
 }
