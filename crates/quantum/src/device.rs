@@ -338,25 +338,14 @@ impl EmulatedDevice {
         num_qubits: usize,
         cyclic: bool,
     ) -> Result<DeviceRun, EvolveError> {
-        // Evolve realization 0 directly — no realization `Vec` to pop, so
-        // the historical `unreachable!` (the last panicking site in the
-        // realization path) is gone by construction.
+        // A single run is the one-realization sweep, so realization 0 of
+        // every sequential sweep takes exactly this path.
         let schedule = CompiledSchedule::try_compile(segments)?;
-        let execution_time = self.try_prepare(&schedule)?;
-        let mut propagator = Propagator::with_options(self.options);
-        let mut rng = self.realization_rng(0);
-        let scale = self.draw_scale(&mut rng);
-        let mut state = StateVector::zero_state(num_qubits);
-        let (recoveries, profile) =
-            self.evolve_realization(&schedule, None, scale, &mut state, &mut propagator)?;
-        Ok(self.measure_run(
-            &state,
-            cyclic,
-            execution_time,
-            recoveries,
-            profile,
-            &mut rng,
-        ))
+        self.try_run_compiled(&schedule, num_qubits, cyclic, 1)?
+            .pop()
+            .ok_or_else(|| EvolveError::InvalidInput {
+                context: "a one-realization sweep returned no run".to_string(),
+            })
     }
 
     /// [`run`](EmulatedDevice::run) repeated over `realizations` independent
@@ -432,9 +421,10 @@ impl EmulatedDevice {
     /// realization is swept, the realizations evolve together as
     /// structure-of-arrays [`RealizationBlock`] tiles — every mask,
     /// diagonal-table entry, and gather index is read once per basis state
-    /// for all realizations in a tile — and agree with the per-realization
-    /// reference path to 1e-10 (the conformance grid in
-    /// `tests/conformance_device.rs` pins this for every stepper kind).
+    /// for all realizations in a tile, each from `|0⟩` — and agree with the
+    /// sequential sweep to 1e-10, whether it restarts every realization or
+    /// follows the one-segment trajectory (the conformance grid in
+    /// `tests/conformance_device.rs` pins both for every stepper kind).
     ///
     /// # Panics
     ///
@@ -570,10 +560,9 @@ impl EmulatedDevice {
     ///
     /// With `held: None` the state restarts from `|0⟩` and evolves under
     /// the `scale`-scaled schedule (the unscaled one when miscalibration is
-    /// off), exactly as [`try_run`](EmulatedDevice::try_run) does. With
-    /// `held: Some(previous)` the one-segment `state` already sits at scale
-    /// `previous` and continues by the increment `scale − previous`; an
-    /// increment of exactly `0` leaves it as it is.
+    /// off). With `held: Some(previous)` the one-segment `state` already
+    /// sits at scale `previous` and continues by the increment
+    /// `scale − previous`; an increment of exactly `0` leaves it as it is.
     fn evolve_realization(
         &self,
         schedule: &CompiledSchedule,

@@ -129,7 +129,7 @@ pub struct Propagator {
     chebyshev: ChebyshevStepper,
     /// The state-sized scratch set of the Taylor, batched-Taylor and
     /// Chebyshev backends, lent to whichever of them runs a segment (see
-    /// [`lend_scratch`](Propagator::lend_scratch)).
+    /// [`with_lent_scratch`](Propagator::with_lent_scratch)).
     scratch: ScratchStates,
     /// Structure-of-arrays realization batching (see
     /// [`Propagator::try_evolve_schedule_block`]); counters fold into the
@@ -534,11 +534,20 @@ impl Propagator {
         self.recovery.push(event);
     }
 
-    /// Swaps the shared scratch set with `kind`'s own (an O(1) move of three
-    /// buffer handles): called once before a backend runs, it lends the
-    /// set; called again after, it takes it back. Krylov keeps its own
-    /// basis and is not lent anything.
-    fn lend_scratch(&mut self, kind: StepperKind) {
+    /// Runs `f` with the shared scratch set lent to `kind`'s backend: the
+    /// set is swapped into the backend before `f` and back after it (an
+    /// O(1) move of three buffer handles each way), whatever `f` returns.
+    /// Krylov keeps its own basis and is not lent anything.
+    fn with_lent_scratch<T>(&mut self, kind: StepperKind, f: impl FnOnce(&mut Self) -> T) -> T {
+        self.swap_scratch(kind);
+        let result = f(self);
+        self.swap_scratch(kind);
+        result
+    }
+
+    /// Swaps the shared scratch set with `kind`'s own; only
+    /// [`with_lent_scratch`](Propagator::with_lent_scratch) pairs the calls.
+    fn swap_scratch(&mut self, kind: StepperKind) {
         let slot = match kind {
             StepperKind::Taylor => &mut self.taylor.scratch,
             StepperKind::BatchedTaylor => &mut self.batched.scratch,
@@ -895,28 +904,27 @@ impl Propagator {
                 self.batched.begin_run(run.reference_norm);
                 run.open_layout = Some(layout);
             }
-            self.lend_scratch(kind);
-            let result = self
-                .batched
-                .try_run_segment(kernel, &effective_bound, state, duration);
-            self.lend_scratch(kind);
-            result
+            self.with_lent_scratch(kind, |propagator| {
+                propagator
+                    .batched
+                    .try_run_segment(kernel, &effective_bound, state, duration)
+            })
         } else {
             if run.open_layout.take().is_some() {
                 self.batched
                     .try_finish_run(state)
                     .map_err(|error| error.with_segment(index))?;
             }
-            self.lend_scratch(kind);
-            let result = self.stepper_for(kind).try_evolve_segment(
-                kernel,
-                &effective_bound,
-                state,
-                duration,
-                run.reference_norm,
-            );
-            self.lend_scratch(kind);
-            result
+            let reference_norm = run.reference_norm;
+            self.with_lent_scratch(kind, |propagator| {
+                propagator.stepper_for(kind).try_evolve_segment(
+                    kernel,
+                    &effective_bound,
+                    state,
+                    duration,
+                    reference_norm,
+                )
+            })
         };
         if has_faults {
             // A forced QL failure must not leak into later, un-faulted
@@ -938,11 +946,16 @@ impl Propagator {
             }
             // Retry with the Taylor reference and the clean (unperturbed)
             // bound; the faults were consumed above.
-            self.lend_scratch(StepperKind::Taylor);
-            let retry =
-                self.taylor
-                    .try_evolve_segment(kernel, &bound, state, duration, run.reference_norm);
-            self.lend_scratch(StepperKind::Taylor);
+            let reference_norm = run.reference_norm;
+            let retry = self.with_lent_scratch(StepperKind::Taylor, |propagator| {
+                propagator.taylor.try_evolve_segment(
+                    kernel,
+                    &bound,
+                    state,
+                    duration,
+                    reference_norm,
+                )
+            });
             if let Err(retry_error) = retry {
                 if has_faults {
                     state.copy_from(&self.fault_snapshot);

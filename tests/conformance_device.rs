@@ -2,8 +2,9 @@
 //!
 //! * structure-of-arrays realization batching: the block sweep
 //!   ([`EvolveOptions::with_realization_block`]) is pinned against the
-//!   sequential per-realization reference path over a grid of realization
-//!   counts × stepper kinds × boundary conditions;
+//!   sequential sweep over a grid of realization counts × stepper kinds ×
+//!   boundary conditions, on a restarting ramp and a one-segment
+//!   trajectory;
 //! * the one-segment trajectory sweep, where each realization continues
 //!   from the previous one by its scale difference, is pinned against the
 //!   same Hamiltonian split into two half-duration segments, which
@@ -62,20 +63,28 @@ fn exact_noise() -> NoiseModel {
 /// 1e-10 on every observable for `R ∈ {1, 3, 8}` realizations, every
 /// stepper kind (the block path always integrates with the batched-Taylor
 /// scheme; the sequential path uses the kind under test, so this doubles as
-/// a cross-backend check), and both boundary conditions.
+/// a cross-backend check), and both boundary conditions — on a ramp of
+/// several segments, where the sequential sweep restarts every
+/// realization, and on one segment, where it follows one trajectory.
 #[test]
 fn block_sweep_matches_sequential_reference() {
     let num_qubits = 4;
-    let segments = ramp(num_qubits, 10);
+    for segments in [ramp(num_qubits, 10), vec![(quench(num_qubits), 1.2)]] {
+        block_sweep_matches_sequential(&segments, num_qubits);
+    }
+}
+
+/// One schedule's block-vs-sequential grid.
+fn block_sweep_matches_sequential(segments: &[(Hamiltonian, f64)], num_qubits: usize) {
     for &realizations in &[1usize, 3, 8] {
         for &kind in &StepperKind::all() {
             for &cyclic in &[false, true] {
                 let sequential = EmulatedDevice::new(exact_noise(), 91)
                     .with_options(EvolveOptions::new(kind))
-                    .run_realizations(&segments, num_qubits, cyclic, realizations);
+                    .run_realizations(segments, num_qubits, cyclic, realizations);
                 let block = EmulatedDevice::new(exact_noise(), 91)
                     .with_options(EvolveOptions::new(kind).with_realization_block(true))
-                    .run_realizations(&segments, num_qubits, cyclic, realizations);
+                    .run_realizations(segments, num_qubits, cyclic, realizations);
                 assert_eq!(sequential.len(), realizations);
                 assert_eq!(block.len(), realizations);
                 for (r, (seq_run, block_run)) in sequential.iter().zip(block.iter()).enumerate() {
@@ -103,24 +112,27 @@ fn block_sweep_matches_sequential_reference() {
 /// [`EmulatedDevice::run`] — the sweep's per-realization RNG streams and
 /// evolution are exactly the single-run path, realization by realization —
 /// on the restart path (a ramp of several segments) and on the trajectory
-/// path (one segment), with finite shots so the estimation draws count too.
+/// path (one segment). Exact observables pin the evolved state's bits;
+/// finite shots pin the order of the estimation draws.
 #[test]
 fn sweep_realization_zero_is_bitwise_run() {
     let num_qubits = 4;
-    let noise = NoiseModel {
+    let finite_shots = NoiseModel {
         shots: Some(500),
         ..exact_noise()
     };
-    let device = EmulatedDevice::new(noise, 7);
-    for segments in [ramp(num_qubits, 8), vec![(quench(num_qubits), 1.2)]] {
-        let single = device.run(&segments, num_qubits, true);
-        let sweep = device.run_realizations(&segments, num_qubits, true, 5);
-        // DeviceRun equality is exact (bitwise on the observables).
-        assert_eq!(sweep[0], single);
-        assert_eq!(
-            sweep,
-            device.run_realizations(&segments, num_qubits, true, 5)
-        );
+    for noise in [exact_noise(), finite_shots] {
+        let device = EmulatedDevice::new(noise, 7);
+        for segments in [ramp(num_qubits, 8), vec![(quench(num_qubits), 1.2)]] {
+            let single = device.run(&segments, num_qubits, true);
+            let sweep = device.run_realizations(&segments, num_qubits, true, 5);
+            // DeviceRun equality is exact (bitwise on the observables).
+            assert_eq!(sweep[0], single);
+            assert_eq!(
+                sweep,
+                device.run_realizations(&segments, num_qubits, true, 5)
+            );
+        }
     }
 }
 
